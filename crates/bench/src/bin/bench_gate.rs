@@ -9,10 +9,7 @@
 //! any baseline case is more than `threshold` (a fraction, default
 //! 0.20 = 20%) slower in the current run, or missing from it. Cases
 //! only present in the current run are reported but do not gate (they
-//! start gating once the baseline is refreshed). `workers_<n>` cases
-//! are excluded from the comparison when the host has fewer than `n`
-//! cores — a starved run times pool overhead, not parallel work (see
-//! `results::exclude_starved`).
+//! start gating once the baseline is refreshed).
 //!
 //! Whenever at least `MIN_NORMALIZE_CASES` (3) cases are shared
 //! between baseline and current run, the gate compares *ratios*: every
@@ -32,7 +29,7 @@
 //! `--normalize` flag is still accepted (ratio mode is now the
 //! default) so existing invocations keep working.
 
-use cloudqc_bench::results::{exclude_starved, gate, parse_results, MIN_NORMALIZE_CASES};
+use cloudqc_bench::results::{gate, parse_results, MIN_NORMALIZE_CASES};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -81,34 +78,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // Multi-worker cases timed on a host with fewer cores measure the
-    // worker pool's coordination overhead, not any speedup — their
-    // numbers can neither fail honestly nor pass meaningfully, and a
-    // starved recording on either side would skew the machine-speed
-    // median for every other case. Exclude them from the comparison
-    // entirely (both sides); they resume gating on a host with enough
-    // cores. See README.md, "Re-recording baselines".
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (baseline, starved_base) = exclude_starved(&baseline, cores);
-    let (current, starved_cur) = exclude_starved(&current, cores);
-    let mut starved = starved_base;
-    for case in starved_cur {
-        if !starved.contains(&case) {
-            starved.push(case);
-        }
-    }
-    if !starved.is_empty() {
-        eprintln!(
-            "warning: host has {cores} core(s) but these cases configured more \
-             workers: {} — their timings are pool overhead, not parallel \
-             speedup; EXCLUDED from the gate (do not re-record baselines \
-             from this host)",
-            starved.join(", ")
-        );
-    }
 
     println!(
         "bench gate: {} baseline case(s), threshold +{:.0}%",

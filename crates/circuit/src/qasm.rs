@@ -35,6 +35,10 @@ use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
 
+/// Most qubits a parsed circuit may declare across all its `qreg`s: one
+/// per `u32` qubit index.
+const MAX_QUBITS: u64 = 1 << 32;
+
 /// A parse failure, with the 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -145,8 +149,18 @@ pub fn parse(source: &str) -> Result<Circuit, ParseError> {
             if qregs.is_empty() {
                 name = reg.clone();
             }
+            // Every flattened index must fit a `Qubit` (u32).
+            let total = total_qubits
+                .checked_add(size)
+                .filter(|&t| t as u64 <= MAX_QUBITS)
+                .ok_or_else(|| {
+                    ParseError::new(
+                        line,
+                        format!("qreg `{reg}[{size}]` exceeds the {MAX_QUBITS}-qubit index space"),
+                    )
+                })?;
             qregs.push((reg, total_qubits, size));
-            total_qubits += size;
+            total_qubits = total;
             continue;
         }
         if stmt.starts_with("creg") {
@@ -677,8 +691,14 @@ mod tests {
 
     #[test]
     fn out_of_range_index_rejected() {
-        let src = "OPENQASM 2.0; qreg q[2]; h q[5];";
-        assert!(parse(src).is_err());
+        for src in [
+            "OPENQASM 2.0; qreg q[2]; h q[5];",
+            // Register totals past the u32 qubit index space.
+            "OPENQASM 2.0; qreg q[8589934592]; h q[4294967296];",
+            "OPENQASM 2.0; qreg a[18446744073709551615]; qreg b[2];",
+        ] {
+            assert!(parse(src).is_err(), "{src}");
+        }
     }
 
     #[test]

@@ -268,6 +268,36 @@ fn tenant_affinity_beats_random_routing_on_cache_hit_rate() {
     );
 }
 
+#[test]
+fn all_backends_reject_a_job() {
+    // Both backends have zero communication qubits: any job that must
+    // split across QPUs is rejected on both. Module docs claim: "A job
+    // every eligible backend has turned away is finally rejected with
+    // the last error."
+    let starved = |_| {
+        CloudBuilder::new(2)
+            .computing_qubits(20)
+            .communication_qubits(0)
+            .line_topology()
+            .build()
+    };
+    let a = starved(0);
+    let b = starved(1);
+    let placement = CloudQcPlacement::default();
+    let mut fleet = FleetBuilder::new()
+        .backend(ServiceBuilder::new(&a, &placement, &CloudQcScheduler, 5))
+        .backend(ServiceBuilder::new(&b, &placement, &CloudQcScheduler, 5))
+        .build();
+    fleet.submit(catalog::by_name("ghz_n30").unwrap(), Tick::ZERO);
+    let window = fleet.drive_to_quiescence().unwrap();
+    assert_eq!(
+        window.rejected.len(),
+        1,
+        "docs promise a final rejection with the last error"
+    );
+    assert!(window.quiescent);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
