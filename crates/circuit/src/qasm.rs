@@ -39,6 +39,11 @@ use std::fmt;
 /// per `u32` qubit index.
 const MAX_QUBITS: u64 = 1 << 32;
 
+/// Most nesting operators (parentheses and unary signs) an angle
+/// expression may stack. The expression parser recurses once per
+/// level, so this bound keeps hostile input from overflowing the stack.
+const MAX_EXPR_DEPTH: usize = 256;
+
 /// A parse failure, with the 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -384,7 +389,7 @@ fn emit_gate(
 fn eval_expr(text: &str, line: usize) -> Result<f64, ParseError> {
     let tokens = tokenize(text, line)?;
     let mut pos = 0;
-    let value = parse_sum(&tokens, &mut pos, line)?;
+    let value = parse_sum(&tokens, &mut pos, line, 0)?;
     if pos != tokens.len() {
         return Err(ParseError::new(
             line,
@@ -475,17 +480,26 @@ fn tokenize(text: &str, line: usize) -> Result<Vec<Token>, ParseError> {
     Ok(tokens)
 }
 
-fn parse_sum(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, ParseError> {
-    let mut value = parse_product(tokens, pos, line)?;
+// The recursive-descent functions below carry `depth`, the number of
+// nesting operators (parentheses and unary signs) enclosing the current
+// position; `nest` enforces `MAX_EXPR_DEPTH`.
+
+fn parse_sum(
+    tokens: &[Token],
+    pos: &mut usize,
+    line: usize,
+    depth: usize,
+) -> Result<f64, ParseError> {
+    let mut value = parse_product(tokens, pos, line, depth)?;
     while let Some(tok) = tokens.get(*pos) {
         match tok {
             Token::Plus => {
                 *pos += 1;
-                value += parse_product(tokens, pos, line)?;
+                value += parse_product(tokens, pos, line, depth)?;
             }
             Token::Minus => {
                 *pos += 1;
-                value -= parse_product(tokens, pos, line)?;
+                value -= parse_product(tokens, pos, line, depth)?;
             }
             _ => break,
         }
@@ -493,17 +507,22 @@ fn parse_sum(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, Pars
     Ok(value)
 }
 
-fn parse_product(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, ParseError> {
-    let mut value = parse_atom(tokens, pos, line)?;
+fn parse_product(
+    tokens: &[Token],
+    pos: &mut usize,
+    line: usize,
+    depth: usize,
+) -> Result<f64, ParseError> {
+    let mut value = parse_atom(tokens, pos, line, depth)?;
     while let Some(tok) = tokens.get(*pos) {
         match tok {
             Token::Star => {
                 *pos += 1;
-                value *= parse_atom(tokens, pos, line)?;
+                value *= parse_atom(tokens, pos, line, depth)?;
             }
             Token::Slash => {
                 *pos += 1;
-                let rhs = parse_atom(tokens, pos, line)?;
+                let rhs = parse_atom(tokens, pos, line, depth)?;
                 if rhs == 0.0 {
                     return Err(ParseError::new(line, "division by zero in angle"));
                 }
@@ -515,7 +534,24 @@ fn parse_product(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, 
     Ok(value)
 }
 
-fn parse_atom(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, ParseError> {
+/// The depth one nesting operator deeper than `depth`, or an error past
+/// [`MAX_EXPR_DEPTH`].
+fn nest(depth: usize, line: usize) -> Result<usize, ParseError> {
+    if depth >= MAX_EXPR_DEPTH {
+        return Err(ParseError::new(
+            line,
+            format!("angle expression nested deeper than {MAX_EXPR_DEPTH} levels"),
+        ));
+    }
+    Ok(depth + 1)
+}
+
+fn parse_atom(
+    tokens: &[Token],
+    pos: &mut usize,
+    line: usize,
+    depth: usize,
+) -> Result<f64, ParseError> {
     match tokens.get(*pos) {
         Some(Token::Num(v)) => {
             *pos += 1;
@@ -523,15 +559,15 @@ fn parse_atom(tokens: &[Token], pos: &mut usize, line: usize) -> Result<f64, Par
         }
         Some(Token::Minus) => {
             *pos += 1;
-            Ok(-parse_atom(tokens, pos, line)?)
+            Ok(-parse_atom(tokens, pos, line, nest(depth, line)?)?)
         }
         Some(Token::Plus) => {
             *pos += 1;
-            parse_atom(tokens, pos, line)
+            parse_atom(tokens, pos, line, nest(depth, line)?)
         }
         Some(Token::Open) => {
             *pos += 1;
-            let value = parse_sum(tokens, pos, line)?;
+            let value = parse_sum(tokens, pos, line, nest(depth, line)?)?;
             if tokens.get(*pos) != Some(&Token::Close) {
                 return Err(ParseError::new(line, "missing `)` in angle expression"));
             }
@@ -699,6 +735,29 @@ mod tests {
         ] {
             assert!(parse(src).is_err(), "{src}");
         }
+    }
+
+    #[test]
+    fn deeply_nested_angles_are_errors_not_aborts() {
+        // Each input would otherwise recurse once per nesting level.
+        let parens = format!("{}1{}", "(".repeat(200_000), ")".repeat(200_000));
+        let err = eval_angle(&parens).unwrap_err();
+        assert!(err.message().contains("nested deeper"), "{err}");
+        let src = format!(
+            "OPENQASM 2.0; qreg q[1]; rz({}1) q[0];",
+            "-".repeat(200_000)
+        );
+        let err = parse(&src).unwrap_err();
+        assert!(err.message().contains("nested deeper"), "{err}");
+        // Exactly at the cap still parses; one level past it does not.
+        let at_cap = format!(
+            "{}-{}1{}",
+            "(".repeat(MAX_EXPR_DEPTH / 2),
+            "+".repeat(MAX_EXPR_DEPTH / 2 - 1),
+            ")".repeat(MAX_EXPR_DEPTH / 2)
+        );
+        assert_eq!(eval_angle(&at_cap).unwrap(), -1.0);
+        assert!(eval_angle(&format!("-{at_cap}")).is_err());
     }
 
     #[test]

@@ -11,21 +11,6 @@
 use crate::config::BatchWeights;
 use cloudqc_circuit::Circuit;
 
-/// How the batch manager orders jobs.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum OrderingPolicy {
-    /// CloudQC's metric ordering (Eq. 11), highest `I_i` first.
-    Metric(BatchWeights),
-    /// First-in-first-out (the CloudQC-FIFO baseline).
-    Fifo,
-}
-
-impl Default for OrderingPolicy {
-    fn default() -> Self {
-        OrderingPolicy::Metric(BatchWeights::default())
-    }
-}
-
 /// The job-ordering metric `I_i` (Eq. 11).
 ///
 /// # Example
@@ -47,21 +32,18 @@ pub fn job_metric(circuit: &Circuit, weights: &BatchWeights) -> f64 {
         + weights.lambda3 * circuit.depth() as f64
 }
 
-/// Returns the processing order (indices into `circuits`).
-///
-/// Metric ordering sorts by descending `I_i` (stable: ties keep arrival
-/// order); FIFO keeps arrival order.
-pub fn order_jobs(circuits: &[Circuit], policy: OrderingPolicy) -> Vec<usize> {
+/// Returns the metric processing order (indices into `circuits`):
+/// descending `I_i`, stable, so ties keep arrival order. The FIFO
+/// baseline is the identity order.
+pub fn order_jobs(circuits: &[Circuit], weights: &BatchWeights) -> Vec<usize> {
+    let metrics: Vec<f64> = circuits.iter().map(|c| job_metric(c, weights)).collect();
     let mut order: Vec<usize> = (0..circuits.len()).collect();
-    if let OrderingPolicy::Metric(weights) = policy {
-        let metrics: Vec<f64> = circuits.iter().map(|c| job_metric(c, &weights)).collect();
-        order.sort_by(|&a, &b| {
-            metrics[b]
-                .partial_cmp(&metrics[a])
-                .expect("finite metrics")
-                .then_with(|| a.cmp(&b))
-        });
-    }
+    order.sort_by(|&a, &b| {
+        metrics[b]
+            .partial_cmp(&metrics[a])
+            .expect("finite metrics")
+            .then_with(|| a.cmp(&b))
+    });
     order
 }
 
@@ -76,7 +58,13 @@ mod tests {
             catalog::by_name("qft_n29").unwrap(),
             catalog::by_name("bv_n70").unwrap(),
         ];
-        assert_eq!(order_jobs(&circuits, OrderingPolicy::Fifo), vec![0, 1]);
+        // Zero weights tie every job, and ties keep arrival order.
+        let zero = BatchWeights {
+            lambda1: 0.0,
+            lambda2: 0.0,
+            lambda3: 0.0,
+        };
+        assert_eq!(order_jobs(&circuits, &zero), vec![0, 1]);
     }
 
     #[test]
@@ -86,7 +74,7 @@ mod tests {
             catalog::by_name("qft_n100").unwrap(), // dense all-to-all
             catalog::by_name("vqe_n4").unwrap(),   // tiny
         ];
-        let order = order_jobs(&circuits, OrderingPolicy::default());
+        let order = order_jobs(&circuits, &BatchWeights::default());
         assert_eq!(order[0], 1, "qft_n100 should lead: {order:?}");
         assert_eq!(order[2], 2, "vqe_n4 should trail: {order:?}");
     }
@@ -105,13 +93,13 @@ mod tests {
 
     #[test]
     fn empty_batch() {
-        assert!(order_jobs(&[], OrderingPolicy::Fifo).is_empty());
+        assert!(order_jobs(&[], &BatchWeights::default()).is_empty());
     }
 
     #[test]
     fn ties_are_stable() {
         let a = catalog::by_name("qft_n29").unwrap();
         let circuits = vec![a.clone(), a];
-        assert_eq!(order_jobs(&circuits, OrderingPolicy::default()), vec![0, 1]);
+        assert_eq!(order_jobs(&circuits, &BatchWeights::default()), vec![0, 1]);
     }
 }

@@ -45,10 +45,8 @@
 //! on identical inputs would provably grant nothing again. Ticks whose
 //! batch contains only local-gate completions therefore skip the
 //! scheduler entirely. Both layers leave seeded schedules byte
-//! identical (see `tests/runtime_golden.rs`);
-//! [`Executor::with_batched_allocation`] turns the elision off for
-//! A/B comparison. The per-tick batch-size distribution is tracked in
-//! [`Executor::batch_stats`].
+//! identical (see `tests/runtime_golden.rs`). The per-tick batch-size
+//! distribution is tracked in [`Executor::batch_stats`].
 //!
 //! ## The sharded front layer
 //!
@@ -74,10 +72,14 @@
 //! requests do not perturb the grants of the other shards. Sharded and
 //! global front layers therefore produce byte-identical seeded
 //! schedules (pinned in `tests/runtime_golden.rs`, property-tested in
-//! `tests/properties.rs`); [`Executor::with_sharded_front_layer`]
-//! disables sharding for A/B comparison. Non-pure schedulers, the
-//! unbatched mode, and path reservation (whose swapping-station holds
-//! couple shards through *intermediate* QPUs) keep the global layer.
+//! `tests/properties.rs`, both against a scheduler wrapper that hides
+//! purity and so forces the global, never-elided layer).
+//!
+//! The executor picks the layer itself: sharded when the scheduler is
+//! pure and path reservation is off, global otherwise. So the global
+//! layer serves exactly two cases — impure schedulers
+//! ([`crate::schedule::RandomScheduler`]) and path reservation, whose
+//! swapping-station holds couple shards through *intermediate* QPUs.
 //! Per-run pass/shard/request counters are reported in
 //! [`Executor::alloc_stats`] and surfaced in
 //! [`crate::runtime::RunReport`].
@@ -121,9 +123,7 @@ pub struct JobResult {
 /// With the sharded front layer, `shards_visited` and
 /// `requests_scanned` count only the *dirty* shards each pass handed
 /// to the scheduler; with the global layer every pass counts as one
-/// shard covering the whole front layer. Comparing
-/// `requests_scanned / rounds` between the two modes prices the
-/// sharding win.
+/// shard covering the whole front layer.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Allocation passes that actually invoked the scheduler (elided
@@ -322,9 +322,8 @@ impl ShardedFront {
     }
 }
 
-/// The allocation front layer: global (one sorted request vector — the
-/// pre-sharding representation, still used for non-pure schedulers,
-/// the unbatched A/B mode, and path reservation) or sharded per QPU
+/// The allocation front layer: global (one sorted request vector, used
+/// for non-pure schedulers and path reservation) or sharded per QPU
 /// pair.
 enum FrontLayer {
     Global(Vec<RemoteRequest>),
@@ -406,11 +405,6 @@ pub struct Executor<'a> {
     /// kept in (priority desc, key asc) order — globally, or within
     /// per-QPU-pair shards (see the module docs).
     front: FrontLayer,
-    /// Per-QPU-pair sharding enabled (see
-    /// [`Executor::with_sharded_front_layer`]); only effective when the
-    /// scheduler is pure, allocation is batched, and path reservation
-    /// is off.
-    sharded_front: bool,
     /// Reused buffer for the path-reservation round filter.
     round_scratch: Vec<RemoteRequest>,
     /// Reused buffer the sharded pass swaps with the dirty list, so
@@ -422,9 +416,6 @@ pub struct Executor<'a> {
     order_scratch: Vec<usize>,
     /// Jobs finished since the last drain, in completion-event order.
     newly_finished: Vec<usize>,
-    /// Change-driven allocation elision enabled (see
-    /// [`Executor::with_batched_allocation`]).
-    batched_allocation: bool,
     /// Cached [`Scheduler::is_pure`] — elision is only sound for pure
     /// schedulers.
     scheduler_pure: bool,
@@ -457,12 +448,10 @@ impl<'a> Executor<'a> {
             unfinished: 0,
             path_reservation: false,
             front: FrontLayer::Global(Vec::new()),
-            sharded_front: true,
             round_scratch: Vec::new(),
             visited_scratch: Vec::new(),
             order_scratch: Vec::new(),
             newly_finished: Vec::new(),
-            batched_allocation: true,
             scheduler_pure: scheduler.is_pure(),
             front_settled: false,
             batch_stats: BatchStats::default(),
@@ -473,16 +462,13 @@ impl<'a> Executor<'a> {
         exec
     }
 
-    /// (Re)chooses the front-layer representation from the current mode
-    /// flags. Only legal before jobs are admitted (the builders assert
-    /// that), when the layer is empty either way.
+    /// (Re)chooses the front-layer representation: sharded for a pure
+    /// scheduler without path reservation, global otherwise. Only legal
+    /// before jobs are admitted (the builders assert that), when the
+    /// layer is empty either way.
     fn rebuild_front(&mut self) {
         debug_assert!(self.jobs.is_empty(), "front layer is fixed at admission");
-        let sharded = self.sharded_front
-            && self.scheduler_pure
-            && self.batched_allocation
-            && !self.path_reservation;
-        self.front = if sharded {
+        self.front = if self.scheduler_pure && !self.path_reservation {
             FrontLayer::Sharded(ShardedFront::new(self.cloud.qpu_count()))
         } else {
             FrontLayer::Global(Vec::new())
@@ -505,49 +491,6 @@ impl<'a> Executor<'a> {
             "path reservation must be set before admitting jobs"
         );
         self.path_reservation = enabled;
-        self.rebuild_front();
-        self
-    }
-
-    /// Enables or disables change-driven allocation elision (on by
-    /// default): with a pure scheduler, allocation rounds whose inputs
-    /// are unchanged since a round that granted nothing are skipped.
-    /// Disabling re-runs the scheduler on every event tick — the
-    /// pre-batching behaviour, kept for A/B equivalence tests. Elided
-    /// and non-elided runs produce byte-identical seeded schedules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs were already admitted (the mode must be fixed
-    /// up front).
-    pub fn with_batched_allocation(mut self, enabled: bool) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "batched allocation must be set before admitting jobs"
-        );
-        self.batched_allocation = enabled;
-        self.rebuild_front();
-        self
-    }
-
-    /// Enables or disables the per-QPU-pair sharded front layer (on by
-    /// default; see the module docs). Sharding only takes effect when
-    /// the scheduler is pure, allocation is batched, and path
-    /// reservation is off — otherwise the global layer is used
-    /// regardless. Sharded and global runs produce byte-identical
-    /// seeded schedules; disabling is for A/B comparison (and the
-    /// `sharded_front_layer` bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if jobs were already admitted (the mode must be fixed
-    /// up front).
-    pub fn with_sharded_front_layer(mut self, enabled: bool) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "front-layer sharding must be set before admitting jobs"
-        );
-        self.sharded_front = enabled;
         self.rebuild_front();
         self
     }
@@ -875,7 +818,7 @@ impl<'a> Executor<'a> {
         if requests.is_empty() {
             return;
         }
-        if self.batched_allocation && self.scheduler_pure && self.front_settled {
+        if self.scheduler_pure && self.front_settled {
             return;
         }
         let scheduler = self.scheduler;
@@ -1043,7 +986,7 @@ impl<'a> Executor<'a> {
             // (one QPU pair, sorted, keys unique), so no per-pass slice
             // list is collected. (Pure schedulers never draw from the
             // RNG, so the pass does not advance it.)
-            let allocations = self.scheduler.allocate_shard_iter(
+            let allocations = self.scheduler.allocate_sharded(
                 &mut order.iter().flat_map(|&shard| {
                     front.shards[shard].buckets.iter().flat_map(|(_, bucket)| {
                         // A deque exposes up to two contiguous runs; each

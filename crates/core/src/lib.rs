@@ -25,8 +25,9 @@
 //!   epochs over a persistent placement cache with streaming metrics;
 //!   [`runtime::Orchestrator::run`] is the one-epoch wrapper for
 //!   finite traces, reporting per-job latency breakdowns.
-//! * [`batch`] / [`tenant`] — the batch manager (Eq. 11) and the
-//!   multi-tenant entry points of §VI.D, thin wrappers over [`runtime`].
+//! * [`batch`] — the batch manager's job-ordering metric (Eq. 11),
+//!   which [`runtime::AdmissionPolicy::PriorityBackfill`] applies to
+//!   the multi-tenant batches of §VI.D.
 //!
 //! # Placing and executing one circuit
 //!
@@ -59,7 +60,8 @@ pub mod exec;
 pub mod placement;
 pub mod runtime;
 pub mod schedule;
-pub mod tenant;
+#[cfg(test)]
+mod tenant;
 pub mod workload;
 
 pub use error::{ExecError, PlacementError};

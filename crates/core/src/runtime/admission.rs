@@ -286,7 +286,7 @@ fn wfq_virtual_finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{order_jobs, OrderingPolicy};
+    use crate::batch::order_jobs;
     use crate::workload::Workload;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_circuit::Circuit;
@@ -322,7 +322,7 @@ mod tests {
     fn priority_enqueue_matches_batch_manager_order() {
         let policy = AdmissionPolicy::default();
         let queue = fill(&policy, &jobs());
-        let expected = order_jobs(&circuits(), OrderingPolicy::default());
+        let expected = order_jobs(&circuits(), &BatchWeights::default());
         assert_eq!(queue, expected);
         // Ties keep arrival order (stable).
         let pos1 = queue.iter().position(|&j| j == 1).unwrap();

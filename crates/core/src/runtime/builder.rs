@@ -1,17 +1,13 @@
 //! The builder-first construction path for the runtime.
 //!
-//! Configuration knobs accreted on [`Orchestrator`] one `with_*` method
-//! at a time over several PRs; with federation the sprawl became an API
-//! problem — a [`crate::runtime::Fleet`] needs a *per-backend*
-//! configuration value it can hold, pass around, and build services
-//! from, not a fluent surface glued to one struct. [`ServiceBuilder`]
-//! is that value: one typed, documented home for every knob, producing
-//! either a resident [`Service`] ([`ServiceBuilder::build`]) or a
-//! one-shot [`Orchestrator`] ([`ServiceBuilder::build_orchestrator`]).
+//! A [`crate::runtime::Fleet`] needs a *per-backend* configuration
+//! value it can hold, pass around, and build services from, not a
+//! fluent surface glued to one struct. [`ServiceBuilder`] is that
+//! value: one typed, documented home for every knob, producing either
+//! a resident [`Service`] ([`ServiceBuilder::build`]) or a one-shot
+//! [`Orchestrator`] ([`ServiceBuilder::build_orchestrator`]).
 //!
-//! The old `Orchestrator::with_*` methods survive as thin delegating
-//! wrappers (hidden from the docs) so existing code and goldens compile
-//! unchanged; new code should spell configuration through this builder:
+//! The builder is the only place configuration is spelled:
 //!
 //! ```
 //! use cloudqc_cloud::CloudBuilder;
@@ -39,9 +35,8 @@ use cloudqc_cloud::Cloud;
 /// Typed construction of one runtime configuration: every knob the
 /// epoch, continuous, and fleet faces share, with the same defaults as
 /// [`Orchestrator::new`] (priority-aware backfill admission, placement
-/// cache on with the exact signature, batched allocation, sharded
-/// front layer, fingerprint seeding; preemption, aging, and load
-/// shedding off).
+/// cache on with the exact signature, fingerprint seeding;
+/// preemption, aging, and load shedding off).
 ///
 /// Terminal calls: [`ServiceBuilder::build`] for a resident
 /// [`Service`], [`ServiceBuilder::build_orchestrator`] for the one-shot
@@ -72,8 +67,6 @@ impl<'a> ServiceBuilder<'a> {
                 cache_quantum: 1,
                 cache_capacity: PlacementCache::DEFAULT_CAPACITY,
                 placement_repair: false,
-                batched_allocation: true,
-                sharded_front_layer: true,
                 fingerprint_seeding: true,
                 preemption: false,
                 aging_rate: 0.0,
@@ -81,10 +74,6 @@ impl<'a> ServiceBuilder<'a> {
                 seed,
             },
         }
-    }
-
-    pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        ServiceBuilder { cfg }
     }
 
     /// Selects the admission policy (default: priority-aware backfill).
@@ -159,24 +148,6 @@ impl<'a> ServiceBuilder<'a> {
     /// [`crate::placement::CacheStats`].
     pub fn placement_repair(mut self, enabled: bool) -> Self {
         self.cfg.placement_repair = enabled;
-        self
-    }
-
-    /// Enables or disables the executor's change-driven allocation
-    /// elision (on by default; see
-    /// [`crate::exec::Executor::with_batched_allocation`]).
-    pub fn batched_allocation(mut self, enabled: bool) -> Self {
-        self.cfg.batched_allocation = enabled;
-        self
-    }
-
-    /// Enables or disables the executor's per-QPU-pair sharded front
-    /// layer (on by default; see
-    /// [`crate::exec::Executor::with_sharded_front_layer`]). Sharded
-    /// and global runs produce byte-identical seeded schedules;
-    /// disabling is for A/B comparison.
-    pub fn sharded_front_layer(mut self, enabled: bool) -> Self {
-        self.cfg.sharded_front_layer = enabled;
         self
     }
 
@@ -256,41 +227,8 @@ mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
     use crate::schedule::CloudQcScheduler;
-    use crate::workload::Workload;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
-
-    #[test]
-    fn builder_and_legacy_with_methods_agree() {
-        // The delegating wrappers and the builder must describe the
-        // same configuration — same workload, byte-identical outcomes.
-        let cloud = CloudBuilder::paper_default(5).build();
-        let placement = CloudQcPlacement::default();
-        let w = Workload::poisson(
-            &[
-                catalog::by_name("qft_n29").unwrap(),
-                catalog::by_name("ghz_n40").unwrap(),
-            ],
-            5,
-            2_000.0,
-            5,
-        );
-        let legacy = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 5)
-            .with_admission(AdmissionPolicy::ShortestJobFirst)
-            .with_cache_quantum(2)
-            .with_aging_rate(0.5)
-            .run(&w)
-            .unwrap();
-        let built = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5)
-            .admission(AdmissionPolicy::ShortestJobFirst)
-            .cache_quantum(2)
-            .aging_rate(0.5)
-            .build_orchestrator()
-            .run(&w)
-            .unwrap();
-        assert_eq!(legacy.outcomes, built.outcomes);
-        assert_eq!(legacy.rejected, built.rejected);
-    }
 
     #[test]
     fn built_service_runs_epochs() {

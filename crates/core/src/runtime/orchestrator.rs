@@ -1,17 +1,17 @@
 //! The one-shot runtime entry point: one finite workload through the
 //! unified orchestration loop.
 //!
-//! The [`Orchestrator`] holds the runtime *configuration* — admission
-//! policy, cache knobs, executor options, seed — and [`Orchestrator::run`]
-//! executes one workload to completion as a single epoch of the
-//! resident [`crate::runtime::Service`] (which owns the actual event
-//! loop; the orchestrator is the thin wrapper kept for finite-trace
-//! experiments). Batch mode (§VI.D) and the incoming-job mode (§V.B)
-//! are the same loop with different workloads; `run_multi_tenant` /
-//! `run_incoming` in [`crate::tenant`] are thin wrappers kept for the
-//! experiment binaries. Long-lived processes should hold a
-//! [`crate::runtime::Service`] instead ([`Orchestrator::into_service`])
-//! to keep the placement cache warm across epochs and stream metrics
+//! The [`Orchestrator`] holds a runtime *configuration* built by
+//! [`ServiceBuilder`] — admission policy, cache knobs, executor
+//! options, seed — and [`Orchestrator::run`] executes one workload to
+//! completion as a single epoch of the resident
+//! [`crate::runtime::Service`] (which owns the actual event loop; the
+//! orchestrator is the thin wrapper kept for finite-trace
+//! experiments). Batch mode (§VI.D, [`Workload::batch`]) and the
+//! incoming-job mode (§V.B, [`Workload::trace`]) are the same loop
+//! with different workloads. Long-lived processes should hold a
+//! [`crate::runtime::Service`] instead ([`ServiceBuilder::build`]) to
+//! keep the placement cache warm across epochs and stream metrics
 //! instead of retaining every outcome.
 //!
 //! Jobs whose placement can never execute (a remote gate over a QPU
@@ -23,7 +23,7 @@ use crate::error::{ExecError, PlacementError};
 use crate::exec::AllocStats;
 use crate::placement::{CacheStats, PlacementAlgorithm};
 use crate::runtime::service::{RuntimeConfig, Service};
-use crate::runtime::{AdmissionPolicy, LoadShedPolicy, ServiceBuilder};
+use crate::runtime::ServiceBuilder;
 use crate::schedule::Scheduler;
 use crate::workload::Workload;
 use cloudqc_cloud::Cloud;
@@ -163,7 +163,7 @@ impl RunReport {
 /// use cloudqc_circuit::generators::catalog;
 /// use cloudqc_cloud::CloudBuilder;
 /// use cloudqc_core::placement::CloudQcPlacement;
-/// use cloudqc_core::runtime::{AdmissionPolicy, Orchestrator};
+/// use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 /// use cloudqc_core::schedule::CloudQcScheduler;
 /// use cloudqc_core::workload::Workload;
 ///
@@ -174,8 +174,9 @@ impl RunReport {
 ///     catalog::by_name("qft_n29").unwrap(),
 /// ];
 /// let workload = Workload::poisson(&pool, 4, 10_000.0, 7);
-/// let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 7)
-///     .with_admission(AdmissionPolicy::Backfill)
+/// let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
+///     .admission(AdmissionPolicy::Backfill)
+///     .build_orchestrator()
 ///     .run(&workload)
 ///     .unwrap();
 /// assert_eq!(report.outcomes.len(), 4);
@@ -186,14 +187,10 @@ pub struct Orchestrator<'a> {
 
 impl<'a> Orchestrator<'a> {
     /// A runtime over one cloud, placement algorithm and network
-    /// scheduler, with the default (priority-aware backfill) admission.
-    ///
-    /// New code should prefer the builder directly:
-    /// [`ServiceBuilder::new`] carries the same defaults and reaches
-    /// both faces ([`ServiceBuilder::build`] for a resident service,
-    /// [`ServiceBuilder::build_orchestrator`] for this one-shot
-    /// wrapper). The `with_*` methods below survive as thin delegating
-    /// wrappers for existing call sites.
+    /// scheduler, with every knob at its default (priority-aware
+    /// backfill admission). Shorthand for
+    /// `ServiceBuilder::new(..).build_orchestrator()`; configure any
+    /// other knob through [`ServiceBuilder`].
     pub fn new(
         cloud: &'a Cloud,
         placement: &'a dyn PlacementAlgorithm,
@@ -205,90 +202,6 @@ impl<'a> Orchestrator<'a> {
 
     pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
         Orchestrator { cfg }
-    }
-
-    fn rebuild(self, f: impl FnOnce(ServiceBuilder<'a>) -> ServiceBuilder<'a>) -> Self {
-        f(ServiceBuilder::from_config(self.cfg)).build_orchestrator()
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::admission`].
-    #[doc(hidden)]
-    pub fn with_admission(self, admission: AdmissionPolicy) -> Self {
-        self.rebuild(|b| b.admission(admission))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::path_reservation`].
-    #[doc(hidden)]
-    pub fn with_path_reservation(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.path_reservation(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::placement_cache`].
-    #[doc(hidden)]
-    pub fn with_placement_cache(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.placement_cache(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::cache_quantum`].
-    #[doc(hidden)]
-    pub fn with_cache_quantum(self, quantum: usize) -> Self {
-        self.rebuild(|b| b.cache_quantum(quantum))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::cache_capacity`].
-    #[doc(hidden)]
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        self.rebuild(|b| b.cache_capacity(capacity))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::batched_allocation`].
-    #[doc(hidden)]
-    pub fn with_batched_allocation(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.batched_allocation(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::sharded_front_layer`].
-    #[doc(hidden)]
-    pub fn with_sharded_front_layer(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.sharded_front_layer(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::fingerprint_seeding`].
-    #[doc(hidden)]
-    pub fn with_fingerprint_seeding(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.fingerprint_seeding(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::preemption`].
-    #[doc(hidden)]
-    pub fn with_preemption(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.preemption(enabled))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::aging_rate`].
-    #[doc(hidden)]
-    pub fn with_aging_rate(self, rate: f64) -> Self {
-        self.rebuild(|b| b.aging_rate(rate))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::load_shedding`].
-    #[doc(hidden)]
-    pub fn with_load_shedding(self, policy: LoadShedPolicy) -> Self {
-        self.rebuild(|b| b.load_shedding(policy))
-    }
-
-    /// Legacy wrapper for [`ServiceBuilder::placement_repair`].
-    #[doc(hidden)]
-    pub fn with_placement_repair(self, enabled: bool) -> Self {
-        self.rebuild(|b| b.placement_repair(enabled))
-    }
-
-    /// Turns this configuration into a resident [`Service`]: the same
-    /// event loop, but with a placement cache that stays warm across
-    /// epochs and streaming metrics instead of retained outcomes. Every
-    /// knob set on the orchestrator carries over.
-    pub fn into_service(self) -> Service<'a> {
-        Service::from_config(self.cfg)
     }
 
     /// Runs the workload to completion — a thin wrapper that drives one
@@ -312,6 +225,7 @@ impl<'a> Orchestrator<'a> {
 mod tests {
     use super::*;
     use crate::placement::CloudQcPlacement;
+    use crate::runtime::AdmissionPolicy;
     use crate::schedule::CloudQcScheduler;
     use cloudqc_circuit::generators::catalog;
     use cloudqc_cloud::CloudBuilder;
@@ -376,12 +290,14 @@ mod tests {
             catalog::by_name("vqe_n4").unwrap(),  // could backfill
         ];
         let placement = CloudQcPlacement::default();
-        let fcfs = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
-            .with_admission(AdmissionPolicy::Fcfs)
+        let fcfs = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::Fcfs)
+            .build_orchestrator()
             .run(&Workload::batch(jobs.clone()))
             .unwrap();
-        let backfill = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
-            .with_admission(AdmissionPolicy::Backfill)
+        let backfill = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
             .run(&Workload::batch(jobs))
             .unwrap();
         // Under FCFS the tiny job waits behind the second big one.

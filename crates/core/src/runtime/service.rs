@@ -63,7 +63,7 @@ use crate::exec::AllocStats;
 use crate::placement::{CacheStats, Placement, PlacementAlgorithm, PlacementCache};
 use crate::runtime::engine::Engine;
 use crate::runtime::orchestrator::{JobRecord, RunReport};
-use crate::runtime::{AdmissionPolicy, LoadShedPolicy};
+use crate::runtime::{AdmissionPolicy, LoadShedPolicy, ServiceBuilder};
 use crate::schedule::Scheduler;
 use crate::workload::{Workload, WorkloadJob};
 use cloudqc_cloud::Cloud;
@@ -89,8 +89,6 @@ pub(crate) struct RuntimeConfig<'a> {
     /// bucket) are patched with `placement::repair` instead of falling
     /// straight through to a full placement run.
     pub(crate) placement_repair: bool,
-    pub(crate) batched_allocation: bool,
-    pub(crate) sharded_front_layer: bool,
     pub(crate) fingerprint_seeding: bool,
     pub(crate) preemption: bool,
     pub(crate) aging_rate: f64,
@@ -153,9 +151,8 @@ pub struct WindowReport {
 /// state, with an epoch face ([`Service::drive`]) and a continuous
 /// face ([`Service::drive_until`] and friends).
 ///
-/// Construct one through
-/// [`crate::runtime::Orchestrator::into_service`] (inheriting every
-/// configured knob) or [`Service::new`] for the defaults.
+/// Construct one through [`crate::runtime::ServiceBuilder::build`]
+/// (any configured knob) or [`Service::new`] for the defaults.
 ///
 /// # Example
 ///
@@ -213,16 +210,16 @@ pub struct Service<'a> {
 impl<'a> Service<'a> {
     /// A resident service with the default runtime configuration
     /// (priority-aware backfill admission, placement cache on, exact
-    /// cache signature, batched allocation, sharded front layer,
-    /// fingerprint seeding; preemption, aging, and load shedding off) —
-    /// the same defaults as [`crate::runtime::Orchestrator::new`].
+    /// cache signature, fingerprint seeding; preemption, aging, and
+    /// load shedding off) — the same defaults as
+    /// [`crate::runtime::Orchestrator::new`].
     pub fn new(
         cloud: &'a Cloud,
         placement: &'a dyn PlacementAlgorithm,
         scheduler: &'a dyn Scheduler,
         seed: u64,
     ) -> Self {
-        crate::runtime::Orchestrator::new(cloud, placement, scheduler, seed).into_service()
+        ServiceBuilder::new(cloud, placement, scheduler, seed).build()
     }
 
     pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
@@ -764,16 +761,18 @@ mod tests {
 
     #[test]
     fn service_inherits_orchestrator_configuration() {
-        // A service built from a configured orchestrator runs the same
-        // epoch the orchestrator would run.
+        // A service built from a configuration runs the same epoch the
+        // orchestrator built from it would run.
         let cloud = CloudBuilder::paper_default(9).build();
         let placement = CloudQcPlacement::default();
         let w = Workload::poisson(&pool(), 5, 2_000.0, 9);
-        let orch = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 9)
-            .with_admission(AdmissionPolicy::ShortestJobFirst)
-            .with_cache_quantum(2);
-        let direct = orch.run(&w).unwrap();
-        let mut svc = orch.into_service();
+        let builder = || {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
+                .admission(AdmissionPolicy::ShortestJobFirst)
+                .cache_quantum(2)
+        };
+        let direct = builder().build_orchestrator().run(&w).unwrap();
+        let mut svc = builder().build();
         svc.submit_workload(&w);
         let epoch = svc.drive().unwrap();
         assert_eq!(direct.outcomes, epoch.outcomes);
@@ -845,9 +844,9 @@ mod tests {
         let service_time = probe.makespan.as_ticks();
         let w = Workload::batch(vec![catalog::by_name("ghz_n25").unwrap(); 3])
             .with_uniform_sla(service_time * 2);
-        let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 1)
-            .with_admission(AdmissionPolicy::DeadlineAware)
-            .into_service();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::DeadlineAware)
+            .build();
         svc.submit_workload(&w);
         let report = svc.drive().unwrap();
         assert!(
@@ -933,9 +932,9 @@ mod tests {
             .build();
         let placement = CloudQcPlacement::default();
         let jobs = vec![catalog::by_name("ghz_n16").unwrap(); 6];
-        let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 3)
-            .with_load_shedding(LoadShedPolicy::queue_depth(2))
-            .into_service();
+        let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3)
+            .load_shedding(LoadShedPolicy::queue_depth(2))
+            .build();
         svc.submit_workload(&Workload::batch(jobs));
         let window = svc.drive_to_quiescence().unwrap();
         let shed: Vec<&(usize, ExecError)> = window
@@ -947,7 +946,7 @@ mod tests {
         assert_eq!(window.outcomes.len() + window.rejected.len(), 6);
         assert_eq!(svc.online().rejected(), window.rejected.len() as u64);
         // Without the policy everything eventually runs.
-        let mut free = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 3).into_service();
+        let mut free = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3).build();
         free.submit_workload(&Workload::batch(vec![
             catalog::by_name("ghz_n16").unwrap();
             6
@@ -977,10 +976,10 @@ mod tests {
         }
         let w = Workload::trace(jobs);
         let run = |aging: f64| {
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 2)
-                .with_admission(AdmissionPolicy::ShortestJobFirst)
-                .with_aging_rate(aging)
-                .into_service();
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 2)
+                .admission(AdmissionPolicy::ShortestJobFirst)
+                .aging_rate(aging)
+                .build();
             svc.submit_workload(&w);
             svc.drive().unwrap()
         };
@@ -1017,9 +1016,9 @@ mod tests {
         let mouse = Workload::trace(vec![(catalog::by_name("ghz_n12").unwrap(), Tick::new(200))])
             .with_uniform_sla(1_000_000);
         let run = |preempt: bool| {
-            let mut svc = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 9)
-                .with_preemption(preempt)
-                .into_service();
+            let mut svc = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
+                .preemption(preempt)
+                .build();
             svc.submit_workload(&elephant);
             svc.submit_workload(&mouse);
             let report = svc.drive().unwrap();

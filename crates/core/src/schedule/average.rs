@@ -96,7 +96,8 @@ mod tests {
         let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
         let global = AverageScheduler.allocate(&flat, &available, &mut rng);
         for shards in [[&s1[..], &s2[..]], [&s2[..], &s1[..]]] {
-            let sharded = AverageScheduler.allocate_sharded(&shards, &available, &mut rng);
+            let sharded =
+                AverageScheduler.allocate_sharded(&mut shards.into_iter(), &available, &mut rng);
             assert_eq!(sharded, global);
         }
         validate_allocations(&flat, &available, &global).unwrap();

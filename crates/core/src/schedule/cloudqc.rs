@@ -6,8 +6,8 @@
 //! eventually receives at least one pair.
 
 use super::{
-    allocate_prioritized, allocate_sharded_prioritized, allocate_sharded_prioritized_iter,
-    Allocation, PriorityPolicy, RemoteRequest, Scheduler,
+    allocate_prioritized, allocate_sharded_prioritized, Allocation, PriorityPolicy, RemoteRequest,
+    Scheduler,
 };
 use rand::rngs::StdRng;
 
@@ -51,25 +51,15 @@ impl Scheduler for CloudQcScheduler {
     /// The sharded entry point walks the pre-sorted shards through the
     /// grantable-heads merge (`allocate_sharded_prioritized`): no
     /// sort, and work bounded by grants rather than pending requests.
+    /// The merge cursors build directly off the iterator, so the
+    /// executor's sharded pass never collects a slice list.
     fn allocate_sharded(
-        &self,
-        shards: &[&[RemoteRequest]],
-        available: &[usize],
-        _rng: &mut StdRng,
-    ) -> Vec<Allocation> {
-        allocate_sharded_prioritized(shards, available, PriorityPolicy::FloorThenRedundancy)
-    }
-
-    /// Streaming variant of the same merge: cursors build directly off
-    /// the iterator, so the executor's sharded pass never collects a
-    /// slice list.
-    fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
         available: &[usize],
         _rng: &mut StdRng,
     ) -> Vec<Allocation> {
-        allocate_sharded_prioritized_iter(shards, available, PriorityPolicy::FloorThenRedundancy)
+        allocate_sharded_prioritized(shards, available, PriorityPolicy::FloorThenRedundancy)
     }
 
     fn is_pure(&self) -> bool {
@@ -162,7 +152,11 @@ mod tests {
         let s2 = [req(2, 1, 2, 7), req(3, 1, 2, 7)];
         let available = vec![4, 6, 3];
         let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
-        let sharded = CloudQcScheduler.allocate_sharded(&[&s1, &s2], &available, &mut rng());
+        let sharded = CloudQcScheduler.allocate_sharded(
+            &mut [&s1[..], &s2[..]].into_iter(),
+            &available,
+            &mut rng(),
+        );
         let global = CloudQcScheduler.allocate(&flat, &available, &mut rng());
         assert_eq!(sharded, global);
         validate_allocations(&flat, &available, &sharded).unwrap();

@@ -6,8 +6,8 @@
 //! paper finds this has the *worst* job completion time.
 
 use super::{
-    allocate_prioritized, allocate_sharded_prioritized, allocate_sharded_prioritized_iter,
-    Allocation, PriorityPolicy, RemoteRequest, Scheduler,
+    allocate_prioritized, allocate_sharded_prioritized, Allocation, PriorityPolicy, RemoteRequest,
+    Scheduler,
 };
 use rand::rngs::StdRng;
 
@@ -43,25 +43,15 @@ impl Scheduler for GreedyScheduler {
     /// The sharded entry point walks the pre-sorted shards through the
     /// grantable-heads merge (`allocate_sharded_prioritized`): no
     /// sort, and work bounded by grants rather than pending requests.
+    /// The merge cursors build directly off the iterator, so the
+    /// executor's sharded pass never collects a slice list.
     fn allocate_sharded(
-        &self,
-        shards: &[&[RemoteRequest]],
-        available: &[usize],
-        _rng: &mut StdRng,
-    ) -> Vec<Allocation> {
-        allocate_sharded_prioritized(shards, available, PriorityPolicy::MaxPerRequest)
-    }
-
-    /// Streaming variant of the same merge: cursors build directly off
-    /// the iterator, so the executor's sharded pass never collects a
-    /// slice list.
-    fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
         available: &[usize],
         _rng: &mut StdRng,
     ) -> Vec<Allocation> {
-        allocate_sharded_prioritized_iter(shards, available, PriorityPolicy::MaxPerRequest)
+        allocate_sharded_prioritized(shards, available, PriorityPolicy::MaxPerRequest)
     }
 
     fn is_pure(&self) -> bool {
@@ -114,7 +104,11 @@ mod tests {
         let available = vec![4, 4, 4];
         let mut rng = StdRng::seed_from_u64(0);
         let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
-        let sharded = GreedyScheduler.allocate_sharded(&[&s1, &s2], &available, &mut rng);
+        let sharded = GreedyScheduler.allocate_sharded(
+            &mut [&s1[..], &s2[..]].into_iter(),
+            &available,
+            &mut rng,
+        );
         let global = GreedyScheduler.allocate(&flat, &available, &mut rng);
         assert_eq!(sharded, global);
         validate_allocations(&flat, &available, &sharded).unwrap();

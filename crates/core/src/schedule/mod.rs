@@ -81,70 +81,49 @@ pub trait Scheduler {
     /// Whether [`Scheduler::allocate`] is a pure function of
     /// `(requests, available)` that never draws from `rng`.
     ///
-    /// Pure schedulers let the executor elide allocation rounds whose
-    /// inputs are unchanged since a round that granted nothing — the
-    /// re-run would provably grant nothing again. They also enable the
-    /// executor's *sharded* front layer, where a round only visits the
-    /// shards whose QPU pair was affected (see
-    /// [`Scheduler::allocate_sharded`]). Schedulers that consume
-    /// randomness must return `false` (the default): eliding a call
-    /// would shift their RNG stream and change seeded schedules.
+    /// The executor derives its front layer from this answer. Pure
+    /// schedulers get the *sharded* layer, where a round only visits
+    /// the shards whose QPU pair was affected (see
+    /// [`Scheduler::allocate_sharded`]), and rounds whose inputs are
+    /// unchanged since a round that granted nothing are elided — the
+    /// re-run would provably grant nothing again. Schedulers that
+    /// consume randomness must return `false` (the default): they get
+    /// the global layer, called every round, because eliding or
+    /// splitting a call would shift their RNG stream and change seeded
+    /// schedules.
     fn is_pure(&self) -> bool {
         false
     }
 
     /// [`Scheduler::allocate`] over the union of several front-layer
-    /// *shards* — the executor's per-QPU-pair request lists.
+    /// *shards*, streamed out of the executor's per-QPU-pair index.
     ///
     /// Contract on the input (the executor upholds it): each shard is
     /// sorted by (priority descending, key ascending), holds requests
     /// of **one** unordered QPU pair — so a shard's head names its
     /// endpoints — and the shards are pairwise disjoint (every request
-    /// key appears once). The default implementation flattens the
-    /// shards and delegates to [`Scheduler::allocate`], so it is
-    /// behaviourally identical to a global pass over the same requests
-    /// for every scheduler whose allocation does not depend on input
-    /// order (all the pure ones — they sort their input by a total
-    /// order first). Pure schedulers can override it to exploit the
-    /// per-shard structure: [`CloudQcScheduler`] and
-    /// [`GreedyScheduler`] merge the shards' *grantable heads* directly
+    /// key appears once). One QPU pair's requests may arrive split
+    /// across *several* consecutive slices (the executor streams its
+    /// priority buckets as-is; each is a valid shard on its own), and
+    /// no per-pass slice list is built.
+    ///
+    /// The default collects the shards and delegates to
+    /// [`Scheduler::allocate`], so it is behaviourally identical to a
+    /// global pass over the same requests for every scheduler whose
+    /// allocation does not depend on input order (all the pure ones —
+    /// they sort their input by a total order first).
+    /// [`CloudQcScheduler`] and [`GreedyScheduler`] override it to
+    /// merge the shards' *grantable heads* directly
     /// (`allocate_sharded_prioritized`), bounding work by grants
     /// instead of pending requests.
     fn allocate_sharded(
-        &self,
-        shards: &[&[RemoteRequest]],
-        available: &[usize],
-        rng: &mut StdRng,
-    ) -> Vec<Allocation> {
-        let flat: Vec<RemoteRequest> = shards.iter().flat_map(|s| s.iter().copied()).collect();
-        self.allocate(&flat, available, rng)
-    }
-
-    /// [`Scheduler::allocate_sharded`] fed by a shard *iterator*
-    /// instead of a pre-collected slice list.
-    ///
-    /// This is the executor's sharded hot path: it streams the
-    /// grant-ordered dirty shards straight out of its persistent index
-    /// scratch, so no per-pass `Vec<&[RemoteRequest]>` is built — and
-    /// it may split one QPU pair's requests across *several*
-    /// consecutive slices (the executor streams its priority buckets
-    /// as-is; each is sorted, single-pair, and key-disjoint, so each
-    /// is a valid shard on its own). The input contract is otherwise
-    /// [`Scheduler::allocate_sharded`]'s; order-insensitive
-    /// implementations (every pure scheduler) emit identical
-    /// allocations for any slicing of the same request set. The
-    /// default collects the iterator and delegates, so every scheduler
-    /// keeps its existing sharded behaviour; [`CloudQcScheduler`] and
-    /// [`GreedyScheduler`] override it to build their grantable-heads
-    /// merge cursors directly from the stream.
-    fn allocate_shard_iter(
         &self,
         shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
         available: &[usize],
         rng: &mut StdRng,
     ) -> Vec<Allocation> {
-        let collected: Vec<&[RemoteRequest]> = shards.collect();
-        self.allocate_sharded(&collected, available, rng)
+        let flat: Vec<RemoteRequest> = shards.flat_map(|s| s.iter().copied()).collect();
+        self.allocate(&flat, available, rng)
     }
 }
 
@@ -243,21 +222,11 @@ pub(crate) fn allocate_prioritized<'r>(
 /// pays O(requests) before the first decision. The grant sequence is
 /// identical: each pop takes the highest-priority head among live
 /// shards, which is the next request the global walk would grant.
+///
+/// The merge cursors are built straight off the shard stream, and
+/// shard order is irrelevant to the output — the merge pops the
+/// globally best live head under a strict total order.
 pub(crate) fn allocate_sharded_prioritized(
-    shards: &[&[RemoteRequest]],
-    available: &[usize],
-    policy: PriorityPolicy,
-) -> Vec<Allocation> {
-    allocate_sharded_prioritized_iter(&mut shards.iter().copied(), available, policy)
-}
-
-/// The iterator-fed core of [`allocate_sharded_prioritized`]: builds
-/// the merge cursors straight off the shard stream, so callers that
-/// already iterate an index (the executor's grant-ordered serial pass
-/// via [`Scheduler::allocate_shard_iter`]) skip the slice-list
-/// collection entirely. Shard order is irrelevant to the output — the
-/// merge pops the globally best live head under a strict total order.
-pub(crate) fn allocate_sharded_prioritized_iter(
     shards: &mut dyn Iterator<Item = &[RemoteRequest]>,
     available: &[usize],
     policy: PriorityPolicy,
@@ -467,14 +436,20 @@ mod tests {
             PriorityPolicy::FloorThenRedundancy,
             PriorityPolicy::MaxPerRequest,
         ] {
-            let sharded = allocate_sharded_prioritized(&[&s1, &s2, &s3], &available, policy);
+            let sharded = allocate_sharded_prioritized(
+                &mut [&s1[..], &s2[..], &s3[..]].into_iter(),
+                &available,
+                policy,
+            );
             let global = allocate_prioritized(flat.iter().copied(), &available, policy);
             assert_eq!(sharded, global, "{policy:?}");
         }
-        assert!(
-            allocate_sharded_prioritized(&[], &available, PriorityPolicy::FloorThenRedundancy)
-                .is_empty()
-        );
+        assert!(allocate_sharded_prioritized(
+            &mut std::iter::empty(),
+            &available,
+            PriorityPolicy::FloorThenRedundancy
+        )
+        .is_empty());
     }
 
     #[test]
@@ -485,7 +460,11 @@ mod tests {
         let s2 = [req(2, 1, 2, 5)];
         let available = vec![4, 4, 4];
         let mut rng = StdRng::seed_from_u64(0);
-        let sharded = AverageScheduler.allocate_sharded(&[&s1, &s2], &available, &mut rng);
+        let sharded = AverageScheduler.allocate_sharded(
+            &mut [&s1[..], &s2[..]].into_iter(),
+            &available,
+            &mut rng,
+        );
         let flat: Vec<RemoteRequest> = s1.iter().chain(s2.iter()).copied().collect();
         let global = AverageScheduler.allocate(&flat, &available, &mut rng);
         assert_eq!(sharded, global);

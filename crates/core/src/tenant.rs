@@ -1,251 +1,21 @@
-//! The multi-tenant entry points (paper §VI.D / §V.B), as thin
-//! wrappers over the unified runtime.
-//!
-//! Both execution modes run the same orchestration loop
-//! ([`crate::runtime::Orchestrator`]): jobs arrive (all at `t = 0` in
-//! batch mode), queue until the placement algorithm admits them, and
-//! execute concurrently on the shared executor, competing for
-//! communication qubits. When a job finishes, its computing qubits are
-//! released and the queue is re-scanned.
-//!
-//! Job completion time (the metric of Figs. 14–17) is measured from
-//! each job's arrival, so it includes queueing delay.
+//! Tests of the paper's two multi-tenant execution modes, run through
+//! `Orchestrator::run` and checked on its `RunReport`. Batch mode
+//! (§VI.D) is a `Workload::batch` under the default priority-aware
+//! backfill, which orders jobs by the Eq. 11 metric; its FIFO baseline
+//! is the same batch under `AdmissionPolicy::Backfill`. The
+//! incoming-job mode (§V.B) is a `Workload::trace` of arrivals under
+//! `AdmissionPolicy::Backfill`.
 
-use crate::batch::OrderingPolicy;
-use crate::error::PlacementError;
-use crate::placement::PlacementAlgorithm;
-use crate::runtime::{AdmissionPolicy, JobRecord, Orchestrator, RunReport};
-use crate::schedule::Scheduler;
-use crate::workload::Workload;
-use cloudqc_circuit::Circuit;
-use cloudqc_cloud::Cloud;
-use cloudqc_sim::Tick;
-
-pub use crate::workload::poisson_arrivals;
-
-/// Per-job outcome of a multi-tenant run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TenantOutcome {
-    /// Index of the job in the submitted batch.
-    pub job: usize,
-    /// When the job arrived (t = 0 in batch mode).
-    pub arrived_at: Tick,
-    /// When the job was admitted (placement succeeded).
-    pub admitted_at: Tick,
-    /// When the job finished.
-    pub finished_at: Tick,
-    /// Completion time from arrival (includes queueing delay), in ticks.
-    pub completion_time: Tick,
-    /// Remote gates induced by the chosen placement.
-    pub remote_gates: usize,
-    /// Computing qubits the job occupied while running.
-    pub qubits: usize,
-}
-
-impl From<&JobRecord> for TenantOutcome {
-    fn from(r: &JobRecord) -> Self {
-        TenantOutcome {
-            job: r.job,
-            arrived_at: r.arrived_at,
-            admitted_at: r.admitted_at,
-            finished_at: r.finished_at,
-            completion_time: r.completion_time,
-            remote_gates: r.remote_gates,
-            qubits: r.qubits,
-        }
-    }
-}
-
-/// Result of a whole batch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MultiTenantRun {
-    /// One outcome per job, in batch order.
-    pub outcomes: Vec<TenantOutcome>,
-    /// Time the last job finished.
-    pub makespan: Tick,
-}
-
-impl MultiTenantRun {
-    /// Completion times (from arrival) of all jobs, in batch order.
-    pub fn completion_times(&self) -> Vec<Tick> {
-        self.outcomes.iter().map(|o| o.completion_time).collect()
-    }
-
-    /// Mean job completion time in ticks.
-    pub fn mean_completion_time(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.outcomes
-            .iter()
-            .map(|o| o.completion_time.as_ticks() as f64)
-            .sum::<f64>()
-            / self.outcomes.len() as f64
-    }
-
-    /// Computing-qubit utilization over the run: qubit-ticks actually
-    /// held by jobs divided by the cloud's capacity × makespan. This is
-    /// the resource-efficiency view of the paper's objective 2 (Eq. 2,
-    /// minimizing idle qubits).
-    ///
-    /// Returns `0.0` for an empty run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_computing_capacity == 0`.
-    pub fn utilization(&self, total_computing_capacity: usize) -> f64 {
-        assert!(total_computing_capacity > 0, "capacity must be positive");
-        if self.outcomes.is_empty() || self.makespan == Tick::ZERO {
-            return 0.0;
-        }
-        let held: f64 = self
-            .outcomes
-            .iter()
-            .map(|o| o.qubits as f64 * (o.finished_at - o.admitted_at) as f64)
-            .sum();
-        held / (total_computing_capacity as f64 * self.makespan.as_ticks() as f64)
-    }
-}
-
-/// Converts a runtime report into the legacy batch result shape.
-///
-/// # Panics
-///
-/// Panics if the runtime rejected a job (the legacy entry points
-/// promise every submitted job completes, as their executor-level
-/// predecessors did).
-fn into_multi_tenant(report: RunReport) -> MultiTenantRun {
-    if let Some((job, err)) = report.rejected.first() {
-        panic!("job {job}: {err}");
-    }
-    MultiTenantRun {
-        outcomes: report.outcomes.iter().map(TenantOutcome::from).collect(),
-        makespan: report.makespan,
-    }
-}
-
-/// Runs one batch of circuits through the full CloudQC pipeline.
-///
-/// Thin wrapper over the runtime: batch workload (everything arrives
-/// at `t = 0`) with priority-aware ([`OrderingPolicy::Metric`], the
-/// Eq. 11 batch manager) or FIFO-with-backfill admission.
-///
-/// # Errors
-///
-/// [`PlacementError`] if some job can never be placed even on an idle
-/// cloud (it would otherwise wait forever).
-///
-/// # Panics
-///
-/// Panics if a job's placement can never execute (communication
-/// starvation); use [`Orchestrator`] directly to reject such jobs
-/// gracefully.
-///
-/// # Example
-///
-/// ```
-/// use cloudqc_circuit::generators::catalog;
-/// use cloudqc_cloud::CloudBuilder;
-/// use cloudqc_core::batch::OrderingPolicy;
-/// use cloudqc_core::placement::CloudQcPlacement;
-/// use cloudqc_core::schedule::CloudQcScheduler;
-/// use cloudqc_core::tenant::run_multi_tenant;
-///
-/// let cloud = CloudBuilder::paper_default(1).build();
-/// let batch = vec![
-///     catalog::by_name("vqe_n4").unwrap(),
-///     catalog::by_name("qft_n29").unwrap(),
-/// ];
-/// let run = run_multi_tenant(
-///     &batch,
-///     &cloud,
-///     &CloudQcPlacement::default(),
-///     &CloudQcScheduler,
-///     OrderingPolicy::default(),
-///     7,
-/// ).unwrap();
-/// assert_eq!(run.outcomes.len(), 2);
-/// ```
-pub fn run_multi_tenant(
-    circuits: &[Circuit],
-    cloud: &Cloud,
-    placement: &dyn PlacementAlgorithm,
-    scheduler: &dyn Scheduler,
-    ordering: OrderingPolicy,
-    seed: u64,
-) -> Result<MultiTenantRun, PlacementError> {
-    let admission = match ordering {
-        OrderingPolicy::Metric(weights) => AdmissionPolicy::PriorityBackfill(weights),
-        OrderingPolicy::Fifo => AdmissionPolicy::Backfill,
-    };
-    let report = Orchestrator::new(cloud, placement, scheduler, seed)
-        .with_admission(admission)
-        .run(&Workload::batch(circuits.to_vec()))?;
-    Ok(into_multi_tenant(report))
-}
-
-/// Runs the *incoming job mode* (paper §V.B): jobs arrive one after
-/// another and are processed first-in-first-out with backfill. A job
-/// that does not fit waits; arrivals behind it may backfill once
-/// earlier completions free resources. Completion time is measured
-/// from each job's own arrival.
-///
-/// Thin wrapper over the runtime: trace workload + backfill admission.
-///
-/// `jobs` pairs each circuit with its arrival time (any order; sorted
-/// internally).
-///
-/// # Errors
-///
-/// [`PlacementError`] if some job can never be placed even on an idle
-/// cloud.
-///
-/// # Panics
-///
-/// Panics if a job's placement can never execute (communication
-/// starvation); use [`Orchestrator`] directly to reject such jobs
-/// gracefully.
-///
-/// # Example
-///
-/// ```
-/// use cloudqc_circuit::generators::catalog;
-/// use cloudqc_cloud::CloudBuilder;
-/// use cloudqc_core::placement::CloudQcPlacement;
-/// use cloudqc_core::schedule::CloudQcScheduler;
-/// use cloudqc_core::tenant::{poisson_arrivals, run_incoming};
-/// use cloudqc_sim::Tick;
-///
-/// let cloud = CloudBuilder::paper_default(1).build();
-/// let arrivals = poisson_arrivals(3, 10_000.0, 7);
-/// let jobs: Vec<_> = arrivals
-///     .into_iter()
-///     .map(|t| (catalog::by_name("qugan_n39").unwrap(), t))
-///     .collect();
-/// let run = run_incoming(&jobs, &cloud, &CloudQcPlacement::default(),
-///                        &CloudQcScheduler, 7).unwrap();
-/// assert_eq!(run.outcomes.len(), 3);
-/// ```
-pub fn run_incoming(
-    jobs: &[(Circuit, Tick)],
-    cloud: &Cloud,
-    placement: &dyn PlacementAlgorithm,
-    scheduler: &dyn Scheduler,
-    seed: u64,
-) -> Result<MultiTenantRun, PlacementError> {
-    let report = Orchestrator::new(cloud, placement, scheduler, seed)
-        .with_admission(AdmissionPolicy::Backfill)
-        .run(&Workload::trace(jobs.iter().cloned()))?;
-    Ok(into_multi_tenant(report))
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::error::PlacementError;
     use crate::placement::{CloudQcBfsPlacement, CloudQcPlacement};
+    use crate::runtime::{AdmissionPolicy, Orchestrator, ServiceBuilder};
     use crate::schedule::CloudQcScheduler;
+    use crate::workload::Workload;
     use cloudqc_circuit::generators::catalog;
+    use cloudqc_circuit::Circuit;
     use cloudqc_cloud::CloudBuilder;
+    use cloudqc_sim::Tick;
 
     fn small_batch() -> Vec<Circuit> {
         vec![
@@ -258,15 +28,10 @@ mod tests {
     #[test]
     fn every_job_completes_exactly_once() {
         let cloud = CloudBuilder::paper_default(2).build();
-        let run = run_multi_tenant(
-            &small_batch(),
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
-            3,
-        )
-        .unwrap();
+        let placement = CloudQcPlacement::default();
+        let run = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 3)
+            .run(&Workload::batch(small_batch()))
+            .unwrap();
         assert_eq!(run.outcomes.len(), 3);
         for (i, o) in run.outcomes.iter().enumerate() {
             assert_eq!(o.job, i);
@@ -291,15 +56,13 @@ mod tests {
             catalog::by_name("ghz_n25").unwrap(),
             catalog::by_name("ghz_n25").unwrap(),
         ];
-        let run = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::Fifo,
-            1,
-        )
-        .unwrap();
+        let placement = CloudQcPlacement::default();
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 1)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
+            .run(&Workload::batch(batch))
+            .unwrap();
+        assert!(run.rejected.is_empty());
         let (a, b) = (&run.outcomes[0], &run.outcomes[1]);
         let (first, second) = if a.admitted_at <= b.admitted_at {
             (a, b)
@@ -314,32 +77,24 @@ mod tests {
     fn impossible_job_is_an_error() {
         let cloud = CloudBuilder::new(2).computing_qubits(5).build();
         let batch = vec![catalog::by_name("ghz_n40").unwrap()];
-        let err = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
-            0,
-        )
-        .unwrap_err();
+        let placement = CloudQcPlacement::default();
+        let err = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 0)
+            .run(&Workload::batch(batch))
+            .unwrap_err();
         assert!(matches!(err, PlacementError::InsufficientCapacity { .. }));
     }
 
     #[test]
     fn deterministic_for_seed() {
         let cloud = CloudBuilder::paper_default(5).build();
-        let batch = small_batch();
+        let placement = CloudQcBfsPlacement::default();
+        let workload = Workload::batch(small_batch());
         let run = |s| {
-            run_multi_tenant(
-                &batch,
-                &cloud,
-                &CloudQcBfsPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::default(),
-                s,
-            )
-            .unwrap()
+            let run = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, s)
+                .run(&workload)
+                .unwrap();
+            assert!(run.rejected.is_empty());
+            run
         };
         assert_eq!(run(9), run(9));
     }
@@ -348,15 +103,11 @@ mod tests {
     fn utilization_is_a_sane_fraction() {
         let cloud = CloudBuilder::paper_default(13).build();
         let batch = small_batch();
-        let run = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
-            4,
-        )
-        .unwrap();
+        let placement = CloudQcPlacement::default();
+        let run = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 4)
+            .run(&Workload::batch(batch.clone()))
+            .unwrap();
+        assert!(run.rejected.is_empty());
         let u = run.utilization(cloud.total_computing_capacity());
         assert!(u > 0.0 && u <= 1.0, "utilization {u}");
         // Qubit counts recorded per job.
@@ -368,19 +119,17 @@ mod tests {
     #[test]
     fn incoming_mode_respects_arrivals() {
         let cloud = CloudBuilder::paper_default(11).build();
-        let jobs = vec![
+        let jobs = [
             (catalog::by_name("qugan_n39").unwrap(), Tick::new(0)),
             (catalog::by_name("ising_n34").unwrap(), Tick::new(5_000)),
             (catalog::by_name("bv_n70").unwrap(), Tick::new(9_000)),
         ];
-        let run = run_incoming(
-            &jobs,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            3,
-        )
-        .unwrap();
+        let placement = CloudQcPlacement::default();
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 3)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
+            .run(&Workload::trace(jobs.iter().cloned()))
+            .unwrap();
         assert_eq!(run.outcomes.len(), 3);
         for (i, o) in run.outcomes.iter().enumerate() {
             assert_eq!(o.arrived_at, jobs[i].1);
@@ -404,17 +153,14 @@ mod tests {
             .line_topology()
             .build();
         let circuit = catalog::by_name("ghz_n25").unwrap();
-        let jobs: Vec<_> = (0..3)
-            .map(|i| (circuit.clone(), Tick::new(i * 10)))
-            .collect();
-        let run = run_incoming(
-            &jobs,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            5,
-        )
-        .unwrap();
+        let jobs = (0..3).map(|i| (circuit.clone(), Tick::new(i * 10)));
+        let placement = CloudQcPlacement::default();
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 5)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
+            .run(&Workload::trace(jobs))
+            .unwrap();
+        assert!(run.rejected.is_empty());
         // 25-qubit jobs on a 30-qubit cloud serialize: each next job is
         // admitted no earlier than the previous one finishes.
         let mut by_arrival = run.outcomes.clone();
@@ -425,20 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_arrivals_are_sorted_and_deterministic() {
-        let a = poisson_arrivals(50, 100.0, 9);
-        let b = poisson_arrivals(50, 100.0, 9);
-        assert_eq!(a, b);
-        for pair in a.windows(2) {
-            assert!(pair[0] <= pair[1]);
-        }
-        // Mean inter-arrival is roughly the requested mean.
-        let total = a.last().unwrap().as_ticks() as f64;
-        let mean = total / 50.0;
-        assert!((mean - 100.0).abs() < 50.0, "mean gap {mean}");
-    }
-
-    #[test]
     fn fifo_and_metric_can_differ() {
         let cloud = CloudBuilder::new(4)
             .computing_qubits(15)
@@ -446,29 +178,21 @@ mod tests {
             .build();
         // One dense job and two light ones; under contention the
         // admission order (hence at least admission times) differs.
-        let batch = vec![
+        let batch = Workload::batch(vec![
             catalog::by_name("ghz_n30").unwrap(),
             catalog::by_name("qft_n29").unwrap(),
             catalog::by_name("ghz_n30").unwrap(),
-        ];
-        let fifo = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::Fifo,
-            2,
-        )
-        .unwrap();
-        let metric = run_multi_tenant(
-            &batch,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
-            2,
-        )
-        .unwrap();
+        ]);
+        let placement = CloudQcPlacement::default();
+        let fifo = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 2)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
+            .run(&batch)
+            .unwrap();
+        let metric = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 2)
+            .run(&batch)
+            .unwrap();
+        assert!(fifo.rejected.is_empty() && metric.rejected.is_empty());
         assert_eq!(fifo.outcomes.len(), metric.outcomes.len());
         // The dense qft job leads under the metric ordering.
         assert_eq!(metric.outcomes[1].admitted_at, Tick::ZERO);

@@ -412,6 +412,20 @@ mod tests {
     }
 
     #[test]
+    fn poisson_arrivals_are_sorted_and_deterministic() {
+        let a = poisson_arrivals(50, 100.0, 9);
+        let b = poisson_arrivals(50, 100.0, 9);
+        assert_eq!(a, b);
+        for pair in a.windows(2) {
+            assert!(pair[0] <= pair[1]);
+        }
+        // Mean inter-arrival is roughly the requested mean.
+        let total = a.last().unwrap().as_ticks() as f64;
+        let mean = total / 50.0;
+        assert!((mean - 100.0).abs() < 50.0, "mean gap {mean}");
+    }
+
+    #[test]
     fn batch_arrives_at_zero() {
         let w = Workload::batch(pool());
         assert_eq!(w.len(), 2);

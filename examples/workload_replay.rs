@@ -10,7 +10,7 @@
 use cloudqc::circuit::generators::catalog;
 use cloudqc::cloud::CloudBuilder;
 use cloudqc::core::placement::CloudQcPlacement;
-use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator};
+use cloudqc::core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::workload::Workload;
 
@@ -35,8 +35,9 @@ fn main() {
             workload.total_qubits(),
             workload.last_arrival()
         );
-        let report = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, 7)
-            .with_admission(AdmissionPolicy::Backfill)
+        let report = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 7)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
             .run(workload)
             .expect("workload completes");
 

@@ -48,8 +48,7 @@ pub use cloudqc_sim as sim;
 ///
 /// This is the *stable* face of the workspace — items here are the
 /// builder-first API (construct through [`ServiceBuilder`](prelude::ServiceBuilder) /
-/// [`FleetBuilder`](prelude::FleetBuilder), not legacy `with_*`
-/// chains), and the error enums
+/// [`FleetBuilder`](prelude::FleetBuilder)), and the error enums
 /// re-exported here are `#[non_exhaustive]` so later PRs can add
 /// variants (e.g. new routing errors) without a breaking release.
 /// Experiment-grade internals (graph partitioning, QASM, individual

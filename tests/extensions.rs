@@ -3,12 +3,27 @@
 //! QPUs, and incoming-job mode.
 
 use cloudqc::circuit::generators::catalog;
-use cloudqc::cloud::{CloudBuilder, Qpu, QpuId};
+use cloudqc::circuit::Circuit;
+use cloudqc::cloud::{Cloud, CloudBuilder, Qpu, QpuId};
 use cloudqc::core::placement::{CloudQcPlacement, PlacementAlgorithm};
+use cloudqc::core::runtime::{AdmissionPolicy, RunReport, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
 use cloudqc::core::simulate_job;
-use cloudqc::core::tenant::{poisson_arrivals, run_incoming};
+use cloudqc::core::workload::{poisson_arrivals, Workload};
 use cloudqc::sim::Tick;
+
+/// The incoming-job mode (§V.B): jobs arrive over time and are admitted
+/// first-in-first-out with backfill. Every job must complete.
+fn run_arrivals(jobs: Vec<(Circuit, Tick)>, cloud: &Cloud, seed: u64) -> RunReport {
+    let placement = CloudQcPlacement::default();
+    let report = ServiceBuilder::new(cloud, &placement, &CloudQcScheduler, seed)
+        .admission(AdmissionPolicy::Backfill)
+        .build_orchestrator()
+        .run(&Workload::trace(jobs))
+        .unwrap();
+    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+    report
+}
 
 #[test]
 fn poor_links_slow_jobs_down() {
@@ -78,14 +93,7 @@ fn incoming_mode_with_poisson_arrivals_completes() {
         .enumerate()
         .map(|(i, &t)| (catalog::by_name(pool[i % pool.len()]).unwrap(), t))
         .collect();
-    let run = run_incoming(
-        &jobs,
-        &cloud,
-        &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        9,
-    )
-    .unwrap();
+    let run = run_arrivals(jobs, &cloud, 9);
     assert_eq!(run.outcomes.len(), 6);
     for o in &run.outcomes {
         assert!(o.admitted_at >= o.arrived_at);
@@ -126,14 +134,7 @@ fn zero_arrival_time_jobs_behave_like_batch() {
         (catalog::by_name("ising_n34").unwrap(), Tick::ZERO),
         (catalog::by_name("qugan_n39").unwrap(), Tick::ZERO),
     ];
-    let run = run_incoming(
-        &jobs,
-        &cloud,
-        &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        1,
-    )
-    .unwrap();
+    let run = run_arrivals(jobs, &cloud, 1);
     for o in &run.outcomes {
         assert_eq!(o.arrived_at, Tick::ZERO);
         assert_eq!(o.admitted_at, Tick::ZERO); // both fit an empty cloud

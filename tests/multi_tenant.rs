@@ -3,12 +3,13 @@
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
-use cloudqc::cloud::CloudBuilder;
-use cloudqc::core::batch::{job_metric, order_jobs, OrderingPolicy};
+use cloudqc::cloud::{Cloud, CloudBuilder};
+use cloudqc::core::batch::{job_metric, order_jobs};
 use cloudqc::core::config::BatchWeights;
-use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement};
+use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, PlacementAlgorithm};
+use cloudqc::core::runtime::{AdmissionPolicy, RunReport, ServiceBuilder};
 use cloudqc::core::schedule::CloudQcScheduler;
-use cloudqc::core::tenant::run_multi_tenant;
+use cloudqc::core::workload::Workload;
 use cloudqc::sim::Tick;
 
 fn batch(names: &[&str]) -> Vec<Circuit> {
@@ -16,6 +17,24 @@ fn batch(names: &[&str]) -> Vec<Circuit> {
         .iter()
         .map(|n| catalog::by_name(n).expect("catalog circuit"))
         .collect()
+}
+
+/// Runs `jobs` as one batch (all arriving at t = 0) under `admission`;
+/// every job must be placed and complete.
+fn run_batch(
+    jobs: &[Circuit],
+    cloud: &Cloud,
+    placement: &dyn PlacementAlgorithm,
+    admission: AdmissionPolicy,
+    seed: u64,
+) -> RunReport {
+    let report = ServiceBuilder::new(cloud, placement, &CloudQcScheduler, seed)
+        .admission(admission)
+        .build_orchestrator()
+        .run(&Workload::batch(jobs.to_vec()))
+        .unwrap_or_else(|e| panic!("{}: {e}", placement.name()));
+    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+    report
 }
 
 #[test]
@@ -32,15 +51,13 @@ fn every_job_completes_exactly_once_under_contention() {
         "qugan_n39",
         "qft_n29",
     ]);
-    let run = run_multi_tenant(
+    let run = run_batch(
         &jobs,
         &cloud,
         &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        OrderingPolicy::default(),
+        AdmissionPolicy::default(),
         3,
-    )
-    .unwrap();
+    );
     assert_eq!(run.outcomes.len(), jobs.len());
     let mut seen = vec![false; jobs.len()];
     for o in &run.outcomes {
@@ -60,15 +77,13 @@ fn jct_includes_queueing_delay() {
         .ring_topology()
         .build();
     let jobs = batch(&["ghz_n30", "ghz_n30", "ghz_n30"]);
-    let run = run_multi_tenant(
+    let run = run_batch(
         &jobs,
         &cloud,
         &CloudQcPlacement::default(),
-        &CloudQcScheduler,
-        OrderingPolicy::Fifo,
+        AdmissionPolicy::Backfill,
         5,
-    )
-    .unwrap();
+    );
     let mut admitted: Vec<Tick> = run.outcomes.iter().map(|o| o.admitted_at).collect();
     admitted.sort();
     // With 30-qubit jobs on a 40-qubit cloud, jobs serialize: at most
@@ -94,39 +109,35 @@ fn all_three_variants_complete_the_same_batch() {
     for (name, run) in [
         (
             "CloudQC",
-            run_multi_tenant(
+            run_batch(
                 &jobs,
                 &cloud,
                 &CloudQcPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::default(),
+                AdmissionPolicy::default(),
                 9,
             ),
         ),
         (
             "CloudQC-BFS",
-            run_multi_tenant(
+            run_batch(
                 &jobs,
                 &cloud,
                 &CloudQcBfsPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::default(),
+                AdmissionPolicy::default(),
                 9,
             ),
         ),
         (
             "CloudQC-FIFO",
-            run_multi_tenant(
+            run_batch(
                 &jobs,
                 &cloud,
                 &CloudQcPlacement::default(),
-                &CloudQcScheduler,
-                OrderingPolicy::Fifo,
+                AdmissionPolicy::Backfill,
                 9,
             ),
         ),
     ] {
-        let run = run.unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(run.outcomes.len(), 4, "{name}");
         assert!(run.makespan > Tick::ZERO, "{name}");
     }
@@ -136,7 +147,7 @@ fn all_three_variants_complete_the_same_batch() {
 fn metric_ordering_prefers_dense_wide_deep_jobs() {
     let jobs = batch(&["bv_n70", "qft_n63", "ghz_n127", "vqe_n4"]);
     let w = BatchWeights::default();
-    let order = order_jobs(&jobs, OrderingPolicy::Metric(w));
+    let order = order_jobs(&jobs, &w);
     // qft_n63 has by far the highest density; vqe_n4 is tiny.
     assert_eq!(order[0], 1);
     assert_eq!(order[3], 3);
@@ -151,15 +162,13 @@ fn batch_outcome_is_deterministic() {
     let cloud = CloudBuilder::paper_default(21).build();
     let jobs = batch(&["qugan_n39", "ising_n34", "bv_n70"]);
     let go = || {
-        run_multi_tenant(
+        run_batch(
             &jobs,
             &cloud,
             &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
+            AdmissionPolicy::default(),
             31,
         )
-        .unwrap()
     };
     assert_eq!(go(), go());
 }

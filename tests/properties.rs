@@ -1,6 +1,8 @@
 //! Cross-crate property-based tests: random circuits and clouds through
 //! the full placement + scheduling + execution pipeline.
 
+mod common;
+
 use cloudqc::circuit::Circuit;
 use cloudqc::cloud::{Cloud, CloudBuilder};
 use cloudqc::core::placement::{
@@ -11,6 +13,7 @@ use cloudqc::core::schedule::{
     AverageScheduler, CloudQcScheduler, GreedyScheduler, RandomScheduler, RemoteDag, Scheduler,
 };
 use cloudqc::core::{simulate_job, Executor};
+use common::GlobalFront;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -150,7 +153,8 @@ proptest! {
     /// The per-QPU-pair sharded front layer is a pure optimization:
     /// for every pure scheduler, a contended multi-job run produces
     /// the exact same schedule whether allocation rounds scan only the
-    /// dirty shards or the whole global request set.
+    /// dirty shards or (through [`GlobalFront`]) the whole global
+    /// request set on every round.
     #[test]
     fn sharded_and_global_front_layers_agree(
         qubits in 4usize..20,
@@ -177,9 +181,9 @@ proptest! {
             Box::new(CloudQcScheduler),
         ];
         for sched in &scheds {
-            let run = |sharded: bool| {
-                let mut exec = Executor::new(&cloud, sched.as_ref(), seed)
-                    .with_sharded_front_layer(sharded);
+            let global = GlobalFront(sched.as_ref());
+            let run = |scheduler: &dyn Scheduler| {
+                let mut exec = Executor::new(&cloud, scheduler, seed);
                 let ids: Vec<usize> = placed.iter().map(|(c, p)| exec.add_job(c, p)).collect();
                 exec.run_to_completion();
                 let results: Vec<_> = ids
@@ -188,7 +192,7 @@ proptest! {
                     .collect();
                 (results, exec.now(), exec.comm_free().to_vec())
             };
-            prop_assert_eq!(run(true), run(false), "{} diverged under sharding", sched.name());
+            prop_assert_eq!(run(sched.as_ref()), run(&global), "{} diverged under sharding", sched.name());
         }
     }
 

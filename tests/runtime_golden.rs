@@ -12,29 +12,33 @@
 //! * The *legacy* golden (`legacy_index_seeding_opt_out_...`) pins the
 //!   pre-default per-job completion times — originally captured from
 //!   the seed implementation at commit `37af50c` — under
-//!   `with_fingerprint_seeding(false)`. It proves the seeding default
-//!   is the only thing that moved: the legacy derivation still
-//!   reproduces the pre-refactor execution stack's outcomes exactly.
+//!   `fingerprint_seeding(false)`. It proves the seeding default is the
+//!   only thing that moved: the legacy derivation still reproduces the
+//!   pre-refactor execution stack's outcomes exactly.
 //!
-//! The A/B tests below additionally pin that the placement cache, the
-//! batched-allocation elision, and the per-QPU-pair sharded front
-//! layer are all *pure* optimizations: enabling or disabling any of
-//! them leaves seeded schedules byte-identical.
+//! The A/B tests below additionally pin that the placement cache and
+//! the per-QPU-pair sharded front layer are *pure* optimizations:
+//! enabling or disabling the cache, or running a scheduler through
+//! [`GlobalFront`] (which hides its purity and so forces the global
+//! front layer with every allocation round run, none elided), leaves
+//! seeded schedules byte-identical.
+
+mod common;
 
 use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
 use cloudqc::cloud::CloudBuilder;
-use cloudqc::core::batch::OrderingPolicy;
+use cloudqc::core::config::BatchWeights;
 use cloudqc::core::placement::PlacementAlgorithm;
 use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, RandomPlacement};
-use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator, RunReport};
+use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator, RunReport, ServiceBuilder};
 use cloudqc::core::schedule::{
     AverageScheduler, CloudQcScheduler, GreedyScheduler, RandomScheduler, Scheduler,
 };
-use cloudqc::core::tenant::{run_incoming, run_multi_tenant};
 use cloudqc::core::workload::Workload;
 use cloudqc::core::Executor;
 use cloudqc::sim::Tick;
+use common::GlobalFront;
 
 fn batch(names: &[&str]) -> Vec<Circuit> {
     names
@@ -65,16 +69,11 @@ fn batch_mode_reproduces_pinned_outcomes() {
         (7, [2230, 39072, 24883, 10311, 7144, 5900, 18758, 39718]),
         (42, [2612, 20138, 37860, 10451, 7660, 6243, 18354, 54024]),
     ];
+    let placement = CloudQcPlacement::default();
     for (seed, times) in expected {
-        let run = run_multi_tenant(
-            &jobs,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::default(),
-            seed,
-        )
-        .unwrap();
+        let run = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .run(&Workload::batch(jobs.clone()))
+            .unwrap();
         let got: Vec<u64> = run
             .outcomes
             .iter()
@@ -103,14 +102,12 @@ fn legacy_index_seeding_opt_out_reproduces_seed_outcomes() {
         (7, [2217, 22290, 23760, 11285, 8385, 7041, 22439, 42431]),
         (42, [2418, 20946, 36602, 11067, 7957, 6513, 26829, 48698]),
     ];
-    let OrderingPolicy::Metric(weights) = OrderingPolicy::default() else {
-        panic!("metric ordering is the batch default");
-    };
     for (seed, times) in expected {
         let placement = CloudQcPlacement::default();
-        let run = Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .with_admission(AdmissionPolicy::PriorityBackfill(weights))
-            .with_fingerprint_seeding(false)
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(AdmissionPolicy::PriorityBackfill(BatchWeights::default()))
+            .fingerprint_seeding(false)
+            .build_orchestrator()
             .run(&Workload::batch(jobs.clone()))
             .unwrap();
         let got: Vec<u64> = run
@@ -135,16 +132,13 @@ fn fifo_contended_batch_reproduces_pinned_outcomes() {
         .build();
     let jobs = batch(&["ghz_n30", "ghz_n30", "ghz_n30"]);
     let expected: [(u64, [u64; 3]); 2] = [(5, [643, 1486, 2129]), (11, [894, 1688, 2482])];
+    let placement = CloudQcPlacement::default();
     for (seed, times) in expected {
-        let run = run_multi_tenant(
-            &jobs,
-            &cloud,
-            &CloudQcPlacement::default(),
-            &CloudQcScheduler,
-            OrderingPolicy::Fifo,
-            seed,
-        )
-        .unwrap();
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
+            .run(&Workload::batch(jobs.clone()))
+            .unwrap();
         let got: Vec<u64> = run
             .outcomes
             .iter()
@@ -189,15 +183,13 @@ fn incoming_mode_reproduces_pinned_outcomes() {
             ],
         ),
     ];
+    let placement = CloudQcBfsPlacement::default();
     for (seed, records) in expected {
-        let run = run_incoming(
-            &jobs,
-            &cloud,
-            &CloudQcBfsPlacement::default(),
-            &CloudQcScheduler,
-            seed,
-        )
-        .unwrap();
+        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+            .admission(AdmissionPolicy::Backfill)
+            .build_orchestrator()
+            .run(&Workload::trace(jobs.iter().cloned()))
+            .unwrap();
         let got: Vec<(u64, u64)> = run
             .outcomes
             .iter()
@@ -243,10 +235,11 @@ fn cached_and_uncached_placement_are_byte_identical() {
     for seed in [3u64, 7, 42] {
         for fingerprint_seeding in [false, true] {
             let run = |cached: bool| {
-                Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                    .with_admission(AdmissionPolicy::Backfill)
-                    .with_fingerprint_seeding(fingerprint_seeding)
-                    .with_placement_cache(cached)
+                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                    .admission(AdmissionPolicy::Backfill)
+                    .fingerprint_seeding(fingerprint_seeding)
+                    .placement_cache(cached)
+                    .build_orchestrator()
                     .run(&workload)
                     .expect("contended run completes")
             };
@@ -272,26 +265,6 @@ fn cached_and_uncached_placement_are_byte_identical() {
 }
 
 #[test]
-fn batched_and_unbatched_allocation_are_byte_identical_in_runtime() {
-    let (cloud, workload) = contended_setup();
-    let placement = CloudQcPlacement::default();
-    for seed in [5u64, 11] {
-        let run = |batched: bool| {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_batched_allocation(batched)
-                .run(&workload)
-                .expect("contended run completes")
-        };
-        let batched = run(true);
-        let unbatched = run(false);
-        assert_eq!(observable(&batched), observable(&unbatched), "seed {seed}");
-        // Same events, same ticks: the batch distribution is identical
-        // too — only the number of allocation passes differs.
-        assert_eq!(batched.event_batches, unbatched.event_batches);
-    }
-}
-
-#[test]
 fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
     // The per-QPU-pair sharded front layer only changes *which* shards
     // an allocation round scans, never what it grants: runtime-level
@@ -300,14 +273,13 @@ fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
     let (cloud, workload) = contended_setup();
     let placement = CloudQcPlacement::default();
     for seed in [5u64, 11] {
-        let run = |sharded: bool| {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_sharded_front_layer(sharded)
+        let run = |scheduler: &dyn Scheduler| {
+            Orchestrator::new(&cloud, &placement, scheduler, seed)
                 .run(&workload)
                 .expect("contended run completes")
         };
-        let sharded = run(true);
-        let global = run(false);
+        let sharded = run(&CloudQcScheduler);
+        let global = run(&GlobalFront(&CloudQcScheduler));
         assert_eq!(observable(&sharded), observable(&global), "seed {seed}");
         assert_eq!(sharded.event_batches, global.event_batches);
         assert!(
@@ -318,6 +290,28 @@ fn sharded_and_global_front_layers_are_byte_identical_in_runtime() {
         );
         assert!(sharded.allocation.rounds > 0);
     }
+    // Path reservation keeps a pure scheduler on the global layer, where
+    // settled rounds are elided: check that elision against the
+    // never-elided wrapper, the only difference between the two arms.
+    for seed in [5u64, 11] {
+        let run = |scheduler: &dyn Scheduler| {
+            ServiceBuilder::new(&cloud, &placement, scheduler, seed)
+                .path_reservation(true)
+                .build_orchestrator()
+                .run(&workload)
+                .expect("contended run completes")
+        };
+        let elided = run(&CloudQcScheduler);
+        let unelided = run(&GlobalFront(&CloudQcScheduler));
+        assert_eq!(observable(&elided), observable(&unelided), "seed {seed}");
+        assert_eq!(elided.event_batches, unelided.event_batches);
+        assert!(
+            elided.allocation.rounds < unelided.allocation.rounds,
+            "settled rounds should be elided: {:?} vs {:?}",
+            elided.allocation,
+            unelided.allocation
+        );
+    }
 }
 
 #[test]
@@ -325,8 +319,10 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
     // The executor-level A/B, under the bench's contention profile
     // (scarce pairs, low EPR success, random placements), across every
     // scheduler. For the pure schedulers this exercises the dirty-shard
-    // fast path; for the random scheduler sharding must silently stay
-    // off (eliding shards would shift its RNG stream).
+    // fast path and the barren-round elision against the global,
+    // never-elided layer; the random scheduler is impure, so it runs
+    // the global layer on both arms (eliding shards would shift its
+    // RNG stream).
     let cloud = CloudBuilder::new(6)
         .computing_qubits(40)
         .communication_qubits(2)
@@ -352,9 +348,8 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
     ];
     for scheduler in &schedulers {
         for seed in [1u64, 9, 27] {
-            let run = |sharded: bool| {
-                let mut exec = Executor::new(&cloud, scheduler.as_ref(), seed)
-                    .with_sharded_front_layer(sharded);
+            let run = |scheduler: &dyn Scheduler| {
+                let mut exec = Executor::new(&cloud, scheduler, seed);
                 let ids: Vec<usize> = placed.iter().map(|(c, p)| exec.add_job(c, p)).collect();
                 exec.run_to_completion();
                 let results: Vec<_> = ids
@@ -363,7 +358,12 @@ fn sharded_and_global_front_layers_are_byte_identical_in_executor() {
                     .collect();
                 (results, exec.now(), exec.comm_free().to_vec())
             };
-            assert_eq!(run(true), run(false), "{} seed {seed}", scheduler.name());
+            assert_eq!(
+                run(scheduler.as_ref()),
+                run(&GlobalFront(scheduler.as_ref())),
+                "{} seed {seed}",
+                scheduler.name()
+            );
         }
     }
 }
@@ -379,12 +379,15 @@ fn two_epoch_service_with_shared_cache_matches_independent_runs() {
     let (cloud, workload) = contended_setup();
     let placement = CloudQcPlacement::default();
     for seed in [3u64, 7, 42] {
-        let orch = || {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_admission(AdmissionPolicy::Backfill)
+        let builder = || {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .admission(AdmissionPolicy::Backfill)
         };
-        let solo = orch().run(&workload).expect("independent run completes");
-        let mut svc = orch().into_service();
+        let solo = builder()
+            .build_orchestrator()
+            .run(&workload)
+            .expect("independent run completes");
+        let mut svc = builder().build();
         svc.submit_workload(&workload);
         let epoch1 = svc.drive().expect("epoch 1 completes");
         svc.submit_workload(&workload);
@@ -438,19 +441,19 @@ fn continuous_clock_over_drained_boundary_matches_epoch_mode() {
         r
     };
     for seed in [3u64, 7, 42] {
-        let orch = || {
-            Orchestrator::new(&cloud, &placement, &CloudQcScheduler, seed)
-                .with_admission(AdmissionPolicy::Backfill)
+        let builder = || {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .admission(AdmissionPolicy::Backfill)
         };
         // Epoch face: two drives, each a fresh clock-0 era.
-        let mut epochs = orch().into_service();
+        let mut epochs = builder().build();
         epochs.submit_workload(&w1);
         let e1 = epochs.drive().expect("epoch 1 completes");
         epochs.submit_workload(&w2);
         let e2 = epochs.drive().expect("epoch 2 completes");
         // Continuous face: same engine, never reset; the second
         // workload is submitted in lifetime coordinates.
-        let mut cont = orch().into_service();
+        let mut cont = builder().build();
         cont.submit_workload(&w1);
         let c1 = cont.drive_to_quiescence().expect("window 1 completes");
         assert!(c1.quiescent, "seed {seed}: cloud must drain at boundary");
@@ -476,42 +479,5 @@ fn continuous_clock_over_drained_boundary_matches_epoch_mode() {
             epochs.now(),
             "seed {seed}: both faces park the lifetime clock at the same tick"
         );
-    }
-}
-
-#[test]
-fn batched_and_unbatched_allocation_are_byte_identical_in_executor() {
-    // The executor-level A/B, under the bench's contention profile:
-    // scarce pairs, low EPR success, random placements.
-    let cloud = CloudBuilder::new(6)
-        .computing_qubits(40)
-        .communication_qubits(2)
-        .epr_success_prob(0.2)
-        .ring_topology()
-        .build();
-    let jobs = batch(&["qugan_n39", "knn_n67", "adder_n64", "qft_n29"]);
-    let placed: Vec<_> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let p = RandomPlacement
-                .place(c, &cloud, &cloud.status(), i as u64)
-                .expect("placement succeeds");
-            (c, p)
-        })
-        .collect();
-    for seed in [1u64, 9, 27] {
-        let run = |batched: bool| {
-            let mut exec =
-                Executor::new(&cloud, &CloudQcScheduler, seed).with_batched_allocation(batched);
-            let ids: Vec<usize> = placed.iter().map(|(c, p)| exec.add_job(c, p)).collect();
-            exec.run_to_completion();
-            let results: Vec<_> = ids
-                .into_iter()
-                .map(|id| exec.job_result(id).expect("job finished"))
-                .collect();
-            (results, exec.now(), exec.comm_free().to_vec())
-        };
-        assert_eq!(run(true), run(false), "seed {seed}");
     }
 }
