@@ -2,13 +2,10 @@
 //! win.
 //!
 //! Steady-state traffic of repeated circuit shapes is driven for
-//! several epochs. Four arms price the persistent cache:
+//! several epochs. Three arms price the persistent cache:
 //!
 //! * `service_warm_epochs` — one resident `Service`: epoch 1 fills the
 //!   cache, later epochs admit from it.
-//! * `service_warm_quantum4` — the same, with the coarser (quantum 4)
-//!   free-vector signature: more hits, at the cost of within-bucket
-//!   drift being allowed to reuse stale placements.
 //! * `orchestrator_cold_epochs` — one `Orchestrator::run` per epoch:
 //!   the pre-service behaviour, rebuilding the cache from cold every
 //!   epoch.
@@ -21,8 +18,9 @@
 
 use cloudqc_bench::bench_circuit;
 use cloudqc_circuit::Circuit;
-use cloudqc_cloud::CloudBuilder;
-use cloudqc_core::placement::{CloudQcPlacement, PlacementAlgorithm, PlacementCache};
+use cloudqc_cloud::{Cloud, CloudBuilder, CloudStatus};
+use cloudqc_core::error::PlacementError;
+use cloudqc_core::placement::{CloudQcPlacement, Placement, PlacementAlgorithm, PlacementCache};
 use cloudqc_core::runtime::{AdmissionPolicy, ServiceBuilder};
 use cloudqc_core::schedule::CloudQcScheduler;
 use cloudqc_core::workload::Workload;
@@ -36,7 +34,7 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
     // The steady-shapes contention profile of
     // `multi_tenant_contention/placement_cache`, driven for several
     // epochs: two repeated shapes, a free-capacity vector oscillating
-    // through a small set of values, fingerprint seeding on.
+    // through a small set of values.
     let cloud = CloudBuilder::new(8)
         .computing_qubits(40)
         .communication_qubits(3)
@@ -59,18 +57,6 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         b.iter(|| {
             seed = seed.wrapping_add(1);
             let mut svc = builder(seed).build();
-            for _ in 0..EPOCHS {
-                svc.submit_workload(black_box(&workload));
-                svc.drive().expect("epoch completes");
-            }
-            svc.report().completed
-        });
-    });
-    group.bench_function("service_warm_quantum4", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            let mut svc = builder(seed).cache_quantum(4).build();
             for _ in 0..EPOCHS {
                 svc.submit_workload(black_box(&workload));
                 svc.drive().expect("epoch completes");
@@ -107,6 +93,30 @@ fn bench_cross_epoch_cache(c: &mut Criterion) {
         });
     });
     group.finish();
+}
+
+/// Answers every `place` with one precomputed placement under another
+/// algorithm's name, so a cache bound to that algorithm accepts it:
+/// plants a warm entry without running the pipeline.
+struct Replay {
+    name: &'static str,
+    placement: Placement,
+}
+
+impl PlacementAlgorithm for Replay {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn place(
+        &self,
+        _circuit: &Circuit,
+        _cloud: &Cloud,
+        _status: &CloudStatus,
+        _seed: u64,
+    ) -> Result<Placement, PlacementError> {
+        Ok(self.placement.clone())
+    }
 }
 
 /// The three lookup tiers priced head-to-head on one forced near-miss.
@@ -152,19 +162,16 @@ fn bench_repair_tier(c: &mut Criterion) {
     drifted.allocate_computing(qpu, take).expect("drift fits");
     assert!(!warm.fits(&drifted), "drift must invalidate the warm entry");
 
-    // Replants the warm entry through the supplier entry point — a map
-    // insert, not a pipeline run — so per-iteration setup stays cheap.
+    // Replants the warm entry through `Replay` — a map insert, not a
+    // pipeline run — so per-iteration setup stays cheap.
+    let replay = Replay {
+        name: algo.name(),
+        placement: warm.clone(),
+    };
     let warm_cache = || {
         let mut cache = PlacementCache::with_quantum(64).with_repair(true);
         cache
-            .place_with(
-                fingerprint,
-                algo.name(),
-                cloud.qpu_count(),
-                &full,
-                seed,
-                || Ok(warm.clone()),
-            )
+            .place_fingerprinted(fingerprint, &replay, &circuit, &cloud, &full, seed)
             .expect("warm insert");
         cache
     };

@@ -35,9 +35,15 @@ use std::error::Error;
 use std::f64::consts::PI;
 use std::fmt;
 
-/// Most qubits a parsed circuit may declare across all its `qreg`s: one
-/// per `u32` qubit index.
-const MAX_QUBITS: u64 = 1 << 32;
+/// Most qubits a parsed circuit may declare across all its `qreg`s.
+/// Far above any circuit a quantum cloud can place, and low enough that
+/// resolving a whole-register operand stays cheap.
+const MAX_QUBITS: usize = 1 << 20;
+
+/// Most gates a parsed circuit may hold. Whole-register operands
+/// broadcast one gate per qubit, so without this cap a short source
+/// could multiply into an arbitrarily large circuit.
+const MAX_GATES: usize = 1 << 22;
 
 /// Most nesting operators (parentheses and unary signs) an angle
 /// expression may stack. The expression parser recurses once per
@@ -90,7 +96,8 @@ impl Error for ParseError {}
 /// # Errors
 ///
 /// Returns [`ParseError`] on unknown statements/gates, malformed
-/// operands, out-of-range indices, or bad angle expressions.
+/// operands, out-of-range indices, bad angle expressions, or circuits
+/// past the size caps (2^20 qubits, 2^22 gates).
 pub fn parse(source: &str) -> Result<Circuit, ParseError> {
     let mut qregs: Vec<(String, usize, usize)> = Vec::new(); // (name, offset, size)
     let mut total_qubits = 0usize;
@@ -154,14 +161,13 @@ pub fn parse(source: &str) -> Result<Circuit, ParseError> {
             if qregs.is_empty() {
                 name = reg.clone();
             }
-            // Every flattened index must fit a `Qubit` (u32).
             let total = total_qubits
                 .checked_add(size)
-                .filter(|&t| t as u64 <= MAX_QUBITS)
+                .filter(|&t| t <= MAX_QUBITS)
                 .ok_or_else(|| {
                     ParseError::new(
                         line,
-                        format!("qreg `{reg}[{size}]` exceeds the {MAX_QUBITS}-qubit index space"),
+                        format!("qreg `{reg}[{size}]` exceeds the {MAX_QUBITS}-qubit limit"),
                     )
                 })?;
             qregs.push((reg, total_qubits, size));
@@ -180,9 +186,9 @@ pub fn parse(source: &str) -> Result<Circuit, ParseError> {
             let (lhs, _rhs) = rest
                 .split_once("->")
                 .ok_or_else(|| ParseError::new(line, "measure missing `->`"))?;
-            for q in resolve_operand(lhs.trim(), &qregs, line)? {
-                gates.push(Gate::measure(q));
-            }
+            let qubits = resolve_operand(lhs.trim(), &qregs, line)?;
+            check_gate_count(gates.len() + qubits.len(), line)?;
+            gates.extend(qubits.into_iter().map(Gate::measure));
             continue;
         }
         // Gate application: name[(params)] operands.
@@ -214,6 +220,19 @@ pub fn parse(source: &str) -> Result<Circuit, ParseError> {
             .map_err(|e| ParseError::new(0, e.to_string()))?;
     }
     Ok(circuit)
+}
+
+/// Fails when appending a statement's gates would grow the circuit to
+/// `count` gates, past [`MAX_GATES`]. Checked before each statement's
+/// gates are appended, so the gate list never exceeds the cap.
+fn check_gate_count(count: usize, line: usize) -> Result<(), ParseError> {
+    if count > MAX_GATES {
+        return Err(ParseError::new(
+            line,
+            format!("circuit exceeds the {MAX_GATES}-gate limit"),
+        ));
+    }
+    Ok(())
 }
 
 /// Splits `cx q[0],q[1]` into head (`cx`, possibly with `(...)`) and the
@@ -336,9 +355,8 @@ fn emit_gate(
         if operands.len() != 1 {
             return Err(ParseError::new(line, format!("`{name}` takes one operand")));
         }
-        for &q in &operands[0] {
-            gates.push(Gate::one(kind, q));
-        }
+        check_gate_count(gates.len() + operands[0].len(), line)?;
+        gates.extend(operands[0].iter().map(|&q| Gate::one(kind, q)));
         return Ok(());
     }
     let two_kind: Option<GateKind> = match name {
@@ -361,6 +379,7 @@ fn emit_gate(
                 format!("`{name}` operands must differ"),
             ));
         }
+        check_gate_count(gates.len() + 1, line)?;
         gates.push(Gate::two(kind, operands[0][0], operands[1][0]));
         return Ok(());
     }
@@ -378,6 +397,7 @@ fn emit_gate(
         // Decompose into the standard 6-CX network (our IR is 1/2-qubit).
         let mut tmp = Circuit::new(usize::max(c0, usize::max(c1, t)) + 1);
         tmp.ccx_decomposed(c0, c1, t);
+        check_gate_count(gates.len() + tmp.gates().len(), line)?;
         gates.extend_from_slice(tmp.gates());
         return Ok(());
     }
@@ -727,14 +747,31 @@ mod tests {
 
     #[test]
     fn out_of_range_index_rejected() {
+        // Repeated broadcasts: 5 × 2^20 gates from a few dozen bytes.
+        let broadcasts = format!(
+            "OPENQASM 2.0; qreg q[{MAX_QUBITS}];{}",
+            " h q;".repeat(MAX_GATES / MAX_QUBITS + 1)
+        );
         for src in [
             "OPENQASM 2.0; qreg q[2]; h q[5];",
-            // Register totals past the u32 qubit index space.
+            // Register totals past the qubit cap.
             "OPENQASM 2.0; qreg q[8589934592]; h q[4294967296];",
             "OPENQASM 2.0; qreg a[18446744073709551615]; qreg b[2];",
+            "OPENQASM 2.0; qreg q[20000000]; h q;",
+            "OPENQASM 2.0; qreg a[1048576]; qreg b[1];",
+            // Gate count past the gate cap.
+            &broadcasts,
         ] {
-            assert!(parse(src).is_err(), "{src}");
+            assert!(parse(src).is_err(), "{}", &src[..src.len().min(60)]);
         }
+        assert!(parse(&broadcasts)
+            .unwrap_err()
+            .message()
+            .contains("gate limit"));
+        // A declaration exactly at the qubit cap still parses.
+        let circuit = parse(&format!("OPENQASM 2.0; qreg q[{MAX_QUBITS}]; h q;")).unwrap();
+        assert_eq!(circuit.num_qubits(), MAX_QUBITS);
+        assert_eq!(circuit.gate_count(), MAX_QUBITS);
     }
 
     #[test]

@@ -738,11 +738,16 @@ impl<'a> Executor<'a> {
     /// *communication* fabric — the contended resource — for
     /// SLA-critical arrivals.
     ///
-    /// Returns `false` (and changes nothing) when the job is already
-    /// suspended or finished. A job left suspended forever stalls
+    /// Returns `false` (and changes nothing) when `job` is not an id
+    /// this executor issued, or the job is already suspended or
+    /// finished. A job left suspended forever stalls
     /// [`Executor::run_to_completion`].
     pub fn suspend_job(&mut self, job: usize) -> bool {
-        if self.jobs[job].suspended || self.jobs[job].finished_at.is_some() {
+        if self
+            .jobs
+            .get(job)
+            .is_none_or(|j| j.suspended || j.finished_at.is_some())
+        {
             return false;
         }
         self.jobs[job].suspended = true;
@@ -761,9 +766,10 @@ impl<'a> Executor<'a> {
 
     /// Resumes a suspended job: parked remote-gate requests re-enter
     /// the front layer (in node order) and an allocation pass runs.
-    /// Returns `false` when the job is not suspended.
+    /// Returns `false` (and changes nothing) when `job` is not an id
+    /// this executor issued or the job is not suspended.
     pub fn resume_job(&mut self, job: usize) -> bool {
-        if !self.jobs[job].suspended {
+        if !self.is_suspended(job) {
             return false;
         }
         self.jobs[job].suspended = false;
@@ -1196,29 +1202,6 @@ impl<'a> Executor<'a> {
             if !self.step() {
                 break;
             }
-        }
-        self.drain_finished_into(out);
-    }
-
-    /// Like [`Executor::run_until_next_completion`], but only processes
-    /// events at or before `deadline`: returns empty when no job
-    /// completes within the budget, leaving later events unprocessed
-    /// (pair with [`Executor::run_until`] to close the window). The
-    /// tick-budgeted continuous service uses this to stop an advance at
-    /// its drive deadline.
-    pub fn run_until_next_completion_before(&mut self, deadline: Tick) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.run_until_next_completion_before_into(deadline, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of
-    /// [`Executor::run_until_next_completion_before`].
-    pub fn run_until_next_completion_before_into(&mut self, deadline: Tick, out: &mut Vec<usize>) {
-        while self.newly_finished.is_empty()
-            && self.queue.peek_time().is_some_and(|t| t <= deadline)
-        {
-            self.step();
         }
         self.drain_finished_into(out);
     }
@@ -1705,6 +1688,18 @@ mod tests {
         exec.run_to_completion();
         assert!(exec.job_result(id).is_some());
         assert_eq!(exec.comm_free(), &[1, 1]);
+    }
+
+    #[test]
+    fn suspend_and_resume_of_unknown_ids_are_no_ops() {
+        let cloud = CloudBuilder::new(2).line_topology().build();
+        let mut exec = Executor::new(&cloud, &CloudQcScheduler, 3);
+        assert!(!exec.suspend_job(0));
+        assert!(!exec.resume_job(0));
+        assert!(!exec.suspend_job(usize::MAX));
+        assert!(!exec.resume_job(usize::MAX));
+        assert!(!exec.is_suspended(0));
+        assert_eq!(exec.preemptions(), 0);
     }
 
     #[test]

@@ -60,8 +60,6 @@ pub mod exec;
 pub mod placement;
 pub mod runtime;
 pub mod schedule;
-#[cfg(test)]
-mod tenant;
 pub mod workload;
 
 pub use error::{ExecError, PlacementError};

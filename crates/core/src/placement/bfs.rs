@@ -4,7 +4,7 @@
 //! search to find feasible QPU for each partition instead of community
 //! detection."
 
-use super::cloudqc::place_with_mode;
+use super::cloudqc::place_in_mode;
 use super::find_placement::FindPlacementMode;
 use super::{Placement, PlacementAlgorithm};
 use crate::config::PlacementConfig;
@@ -39,7 +39,7 @@ impl PlacementAlgorithm for CloudQcBfsPlacement {
         status: &CloudStatus,
         seed: u64,
     ) -> Result<Placement, PlacementError> {
-        place_with_mode(
+        place_in_mode(
             circuit,
             cloud,
             status,

@@ -9,9 +9,9 @@
 //!
 //! [`PlacementCache`] memoizes [`PlacementAlgorithm::place`] outcomes —
 //! successes *and* failures (the failure entries are what break the
-//! retry loop) — for one fixed (algorithm instance, cloud) pair (the
-//! orchestrator builds one cache per run; debug builds enforce the
-//! binding), keyed by a signature of everything else the algorithm
+//! retry loop) — for one fixed (algorithm instance, cloud) pair (each
+//! runtime service holds one for its lifetime; debug builds enforce
+//! the binding), keyed by a signature of everything else the algorithm
 //! can observe:
 //!
 //! * the circuit's structural [`Fingerprint`] (name-independent, so
@@ -20,14 +20,15 @@
 //!   [`PlacementCache::quantum`] (bucket size in qubits), and
 //! * the placement seed.
 //!
-//! With the default quantum of 1 the signature captures the exact free
-//! vector, so a hit replays a computation with identical inputs and the
-//! cached result is *provably* what the algorithm would return —
-//! cached and uncached runs produce byte-identical schedules (pinned in
-//! `tests/runtime_golden.rs`). Coarser quanta trade fidelity for hit
-//! rate: capacity drifts within a bucket reuse the old result, which
-//! can shift schedules (never correctness — see below) and is why
-//! coarse quanta are opt-in.
+//! With the default quantum of 1 — the runtime's setting — the
+//! signature captures the exact free vector, so a hit replays a
+//! computation with identical inputs and the cached result is
+//! *provably* what the algorithm would return: cached and uncached
+//! runs produce byte-identical schedules (pinned in
+//! `tests/runtime_golden.rs`). A coarser [`PlacementCache::with_quantum`]
+//! trades fidelity for hit rate: capacity drifts within a bucket reuse
+//! the old result, which can shift schedules (never correctness — see
+//! below).
 //!
 //! The cache is **bounded**: entries are held in least-recently-used
 //! order and capped at [`PlacementCache::with_capacity`] (default
@@ -404,7 +405,7 @@ impl PlacementCache {
     /// Memoized [`PlacementAlgorithm::place`], computing the circuit's
     /// fingerprint on the fly. Prefer
     /// [`PlacementCache::place_fingerprinted`] when the fingerprint is
-    /// already known (the orchestrator computes each job's once).
+    /// already known (the runtime computes each job's once).
     ///
     /// # Errors
     ///
@@ -436,7 +437,7 @@ impl PlacementCache {
     ///
     /// The algorithm and cloud are *not* part of the key: one cache
     /// serves one (algorithm instance, cloud) pair for its whole life —
-    /// the orchestrator creates one per run. Mixing algorithms, tuned
+    /// each runtime service holds its own. Mixing algorithms, tuned
     /// configurations of one algorithm, or clouds through a single
     /// cache is a logic error (hits would replay the wrong pipeline's
     /// result); debug builds panic on an algorithm-name or QPU-count
@@ -454,41 +455,7 @@ impl PlacementCache {
         status: &CloudStatus,
         seed: u64,
     ) -> Result<Placement, PlacementError> {
-        self.place_with(
-            fingerprint,
-            algorithm.name(),
-            cloud.qpu_count(),
-            status,
-            seed,
-            || algorithm.place(circuit, cloud, status, seed),
-        )
-    }
-
-    /// The lookup/insert core behind [`PlacementCache::place_fingerprinted`],
-    /// with the miss-path computation abstracted into `compute`.
-    ///
-    /// `compute` **must** return exactly what
-    /// `algorithm.place(circuit, cloud, status, seed)` would — the
-    /// cache memoizes its value under that signature. Since `place` is
-    /// a pure function of its arguments, any supplier that replays a
-    /// result computed from the same arguments qualifies.
-    ///
-    /// `algorithm_name` and `qpu_count` feed the same one-algorithm,
-    /// one-cloud debug binding as the direct entry points.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the algorithm's errors; failures are memoized too.
-    pub fn place_with(
-        &mut self,
-        fingerprint: Fingerprint,
-        algorithm_name: &'static str,
-        qpu_count: usize,
-        status: &CloudStatus,
-        seed: u64,
-        compute: impl FnOnce() -> Result<Placement, PlacementError>,
-    ) -> Result<Placement, PlacementError> {
-        let bound = (algorithm_name, qpu_count);
+        let bound = (algorithm.name(), cloud.qpu_count());
         debug_assert_eq!(
             *self.bound_to.get_or_insert(bound),
             bound,
@@ -524,7 +491,7 @@ impl PlacementCache {
             }
         }
         self.stats.misses += 1;
-        let result = compute();
+        let result = algorithm.place(circuit, cloud, status, seed);
         self.insert(key, result.clone());
         result
     }
@@ -723,6 +690,27 @@ mod tests {
         }
     }
 
+    /// Shares [`StubPlacement`]'s name (so one cache accepts both) but
+    /// panics if asked to place: proof that a lookup never reached the
+    /// pipeline.
+    struct NeverPlace;
+
+    impl PlacementAlgorithm for NeverPlace {
+        fn name(&self) -> &'static str {
+            "stub"
+        }
+
+        fn place(
+            &self,
+            _circuit: &Circuit,
+            _cloud: &Cloud,
+            _status: &CloudStatus,
+            _seed: u64,
+        ) -> Result<Placement, PlacementError> {
+            panic!("a repaired near-miss must not run the pipeline")
+        }
+    }
+
     #[test]
     fn lru_caps_memory_over_millions_of_distinct_signatures() {
         // The long-lived-service scenario: an endless stream of
@@ -828,7 +816,7 @@ mod tests {
         // capacity, then take one qubit of QPU 0 away: the signature
         // moves one bucket, the cached placement no longer fits, and
         // the repair tier must reseat exactly one qubit onto QPU 1 —
-        // without running the supplier.
+        // without running the pipeline (`NeverPlace` panics if asked).
         let cloud = CloudBuilder::new(2).computing_qubits(2).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);
@@ -843,9 +831,7 @@ mod tests {
         let mut tight = cloud.status();
         tight.allocate_computing(QpuId::new(0), 1).unwrap();
         let repaired = cache
-            .place_with(fp, "stub", 2, &tight, 1, || {
-                panic!("a repaired near-miss must not run the pipeline")
-            })
+            .place_fingerprinted(fp, &NeverPlace, &circuit, &cloud, &tight, 1)
             .unwrap();
         assert!(repaired.fits(&tight));
         assert_eq!(repaired.qpu_demand(2), vec![1, 1]);
@@ -878,7 +864,7 @@ mod tests {
     #[test]
     fn repair_fallback_runs_the_pipeline_when_unpatchable() {
         // One QPU: once capacity shrinks there is nowhere to reseat,
-        // so the near-miss candidate must fall back to the supplier.
+        // so the near-miss candidate must fall back to the pipeline.
         let cloud = CloudBuilder::new(1).computing_qubits(2).build();
         let algo = StubPlacement;
         let circuit = Circuit::new(2);

@@ -49,7 +49,7 @@ impl PlacementAlgorithm for CloudQcPlacement {
         status: &CloudStatus,
         seed: u64,
     ) -> Result<Placement, PlacementError> {
-        place_with_mode(
+        place_in_mode(
             circuit,
             cloud,
             status,
@@ -62,7 +62,7 @@ impl PlacementAlgorithm for CloudQcPlacement {
 
 /// Shared Algorithm 1 driver, parameterized by the Algorithm 2 variant
 /// (community detection for CloudQC, BFS for CloudQC-BFS).
-pub(crate) fn place_with_mode(
+pub(crate) fn place_in_mode(
     circuit: &Circuit,
     cloud: &Cloud,
     status: &CloudStatus,

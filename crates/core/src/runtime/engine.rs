@@ -8,9 +8,9 @@
 //! service drives it two ways:
 //!
 //! * **Epoch mode** (`continuous == false`): one fresh engine per
-//!   `drive()`, injected once and advanced to quiescence — literally
-//!   the pre-refactor `run_epoch` loop, with job records stamped on the
-//!   era-local clock so epoch reports are unchanged.
+//!   `drive()`, injected once and advanced to quiescence, with job
+//!   records stamped on the era-local clock so every epoch report
+//!   starts at tick 0.
 //! * **Continuous mode** (`continuous == true`): one engine resident on
 //!   the service. Submissions land on the *live* executor mid-flight
 //!   ([`Engine::inject`]); [`Engine::advance`] runs until quiescent or
@@ -20,6 +20,11 @@
 //! In both modes the streaming [`OnlineReport`] is fed *lifetime* ticks
 //! (`clock_base + era-local`), so multi-epoch throughput and
 //! last-finish series are monotone instead of piling up at tick 0.
+//!
+//! Admission places each job through `RuntimeConfig::place`, the path
+//! fleet routing probes take too: the placement seed is the run seed
+//! XORed with the circuit's structural fingerprint, and the lookup goes
+//! through the service's placement cache when it is on.
 //!
 //! # Re-anchoring, and why continuous == epoch over a drained cloud
 //!
@@ -69,9 +74,9 @@ struct EngineJob {
     /// Whether the job carries an SLA deadline — the preemption
     /// trigger's definition of "critical".
     critical: bool,
-    /// Structural fingerprint (computed when the cache or fingerprint
-    /// seeding needs it).
-    fingerprint: Option<Fingerprint>,
+    /// Structural fingerprint: the placement cache key and, with the
+    /// run seed, the placement seed.
+    fingerprint: Fingerprint,
     /// The index this job is reported under (workload index in epoch
     /// mode, lifetime submission index in continuous mode).
     record_index: usize,
@@ -277,19 +282,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Lands a submission batch on the engine. `first_record_index`
-    /// numbers the batch's jobs in the caller's reporting frame;
-    /// `cache_active` controls fingerprint computation.
+    /// numbers the batch's jobs in the caller's reporting frame.
     ///
     /// In continuous mode, injecting onto a *quiescent* engine
     /// re-anchors it first (see the module docs); arrivals are lifetime
     /// ticks and are converted to the era-local frame (past arrivals
     /// land immediately). In epoch mode arrivals are already era-local.
-    pub(crate) fn inject(
-        &mut self,
-        jobs: Vec<WorkloadJob>,
-        first_record_index: usize,
-        cache_active: bool,
-    ) {
+    pub(crate) fn inject(&mut self, jobs: Vec<WorkloadJob>, first_record_index: usize) {
         if jobs.is_empty() {
             return;
         }
@@ -305,8 +304,7 @@ impl<'a> Engine<'a> {
             .extend(&mut self.ctx, &jobs, self.cfg.cloud);
         let base = self.jobs.len();
         for (offset, job) in jobs.into_iter().enumerate() {
-            let fingerprint =
-                (cache_active || self.cfg.fingerprint_seeding).then(|| job.circuit.fingerprint());
+            let fingerprint = job.circuit.fingerprint();
             let arrival = if self.continuous {
                 Tick::new(job.arrival.as_ticks().saturating_sub(self.clock_base))
             } else {
@@ -505,25 +503,10 @@ impl<'a> Engine<'a> {
                 self.waiting.remove(i);
                 continue;
             }
-            let job_seed = self.job_seed(job_idx);
-            let placed = match cache.as_mut() {
-                Some(cache) => cache.place_fingerprinted(
-                    self.jobs[job_idx]
-                        .fingerprint
-                        .expect("fingerprints are computed when the cache is on"),
-                    self.cfg.placement,
-                    &self.jobs[job_idx].circuit,
-                    self.cfg.cloud,
-                    &self.status,
-                    job_seed,
-                ),
-                None => self.cfg.placement.place(
-                    &self.jobs[job_idx].circuit,
-                    self.cfg.cloud,
-                    &self.status,
-                    job_seed,
-                ),
-            };
+            let job = &self.jobs[job_idx];
+            let placed =
+                self.cfg
+                    .place(cache.as_mut(), &job.circuit, job.fingerprint, &self.status);
             match placed {
                 Ok(p) => {
                     let demand = p.qpu_demand(self.cfg.cloud.qpu_count());
@@ -585,19 +568,6 @@ impl<'a> Engine<'a> {
             }
         }
         Ok(())
-    }
-
-    /// The placement seed of one waiting job: fingerprint-derived when
-    /// fingerprint seeding is on, workload-index-derived otherwise.
-    fn job_seed(&self, job_idx: usize) -> u64 {
-        if self.cfg.fingerprint_seeding {
-            let fp = self.jobs[job_idx]
-                .fingerprint
-                .expect("fingerprints are computed when seeding needs them");
-            self.cfg.seed ^ fp.as_u64()
-        } else {
-            self.cfg.seed ^ (job_idx as u64) << 17
-        }
     }
 
     /// Re-sorts the waiting queue by metric + `aging_rate` × queueing

@@ -46,11 +46,12 @@
 //! two faces must not interleave mid-flight: [`Service::drive`] panics
 //! while the continuous engine has in-flight work (quiesce first).
 //!
-//! Cache reuse never changes outcomes, only speed: with the default
-//! exact signature a hit replays a pure function of inputs the
-//! signature captures completely, and every reuse is re-validated with
-//! `Placement::fits` (the two-epoch golden test pins warm-epoch
-//! outcomes against independent cold runs).
+//! Cache reuse never changes outcomes, only speed (the opt-in repair
+//! tier aside): the cache keys on the exact free-capacity vector, so a
+//! hit replays a pure function of inputs the key captures completely,
+//! and every reuse is re-validated with `Placement::fits` (the
+//! two-epoch golden test pins warm-epoch outcomes against independent
+//! cold runs).
 //!
 //! An epoch that fails with a [`PlacementError`] *restores* its
 //! submissions to the pending buffer and contributes nothing to the
@@ -66,7 +67,8 @@ use crate::runtime::orchestrator::{JobRecord, RunReport};
 use crate::runtime::{AdmissionPolicy, LoadShedPolicy, ServiceBuilder};
 use crate::schedule::Scheduler;
 use crate::workload::{Workload, WorkloadJob};
-use cloudqc_cloud::Cloud;
+use cloudqc_circuit::{Circuit, Fingerprint};
+use cloudqc_cloud::{Cloud, CloudStatus};
 use cloudqc_sim::online::OnlineReport;
 use cloudqc_sim::series::BatchStats;
 use cloudqc_sim::Tick;
@@ -82,18 +84,46 @@ pub(crate) struct RuntimeConfig<'a> {
     pub(crate) admission: AdmissionPolicy,
     pub(crate) path_reservation: bool,
     pub(crate) placement_cache: bool,
-    pub(crate) cache_quantum: usize,
-    pub(crate) cache_capacity: usize,
     /// Whether the placement cache's incremental-repair tier is on:
     /// near-miss lookups (same circuit and seed, adjacent free-capacity
-    /// bucket) are patched with `placement::repair` instead of falling
+    /// vector) are patched with `placement::repair` instead of falling
     /// straight through to a full placement run.
     pub(crate) placement_repair: bool,
-    pub(crate) fingerprint_seeding: bool,
     pub(crate) preemption: bool,
     pub(crate) aging_rate: f64,
     pub(crate) load_shed: Option<LoadShedPolicy>,
     pub(crate) seed: u64,
+}
+
+impl RuntimeConfig<'_> {
+    /// Places `circuit` against `status` — the one placement path of
+    /// admission and routing probes alike. The placement seed is the
+    /// run seed XORed with the circuit's structural `fingerprint`
+    /// (which must be `circuit.fingerprint()`), so two jobs of the same
+    /// shape against the same free-capacity vector pose the same
+    /// problem, which is what the cache keys on. The lookup goes
+    /// through `cache` when the cache is on and straight to the
+    /// algorithm otherwise; the outcome is identical either way.
+    pub(crate) fn place(
+        &self,
+        cache: Option<&mut PlacementCache>,
+        circuit: &Circuit,
+        fingerprint: Fingerprint,
+        status: &CloudStatus,
+    ) -> Result<Placement, PlacementError> {
+        let seed = self.seed ^ fingerprint.as_u64();
+        match cache {
+            Some(cache) => cache.place_fingerprinted(
+                fingerprint,
+                self.placement,
+                circuit,
+                self.cloud,
+                status,
+                seed,
+            ),
+            None => self.placement.place(circuit, self.cloud, status, seed),
+        }
+    }
 }
 
 /// Lifetime summary of a [`Service`]: everything it aggregated across
@@ -209,10 +239,9 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     /// A resident service with the default runtime configuration
-    /// (priority-aware backfill admission, placement cache on, exact
-    /// cache signature, fingerprint seeding; preemption, aging, and
-    /// load shedding off) — the same defaults as
-    /// [`crate::runtime::Orchestrator::new`].
+    /// (priority-aware backfill admission, placement cache on; repair
+    /// tier, preemption, aging, and load shedding off) — the same
+    /// defaults as [`crate::runtime::Orchestrator::new`].
     pub fn new(
         cloud: &'a Cloud,
         placement: &'a dyn PlacementAlgorithm,
@@ -223,11 +252,9 @@ impl<'a> Service<'a> {
     }
 
     pub(crate) fn from_config(cfg: RuntimeConfig<'a>) -> Self {
-        let cache = cfg.placement_cache.then(|| {
-            PlacementCache::with_quantum(cfg.cache_quantum)
-                .with_capacity(cfg.cache_capacity)
-                .with_repair(cfg.placement_repair)
-        });
+        let cache = cfg
+            .placement_cache
+            .then(|| PlacementCache::new().with_repair(cfg.placement_repair));
         Service {
             cache,
             online: OnlineReport::new(cfg.seed),
@@ -329,22 +356,12 @@ impl<'a> Service<'a> {
     /// otherwise) *without* submitting it — the probe a fleet router
     /// uses to score backends before committing a job to one.
     ///
-    /// The probe goes through the persistent [`PlacementCache`] when
-    /// enabled, so repeated probes of hot shapes are cheap and warm the
-    /// cache for the eventual admission; probe lookups count in
-    /// [`Service::cache_stats`] like any other. The probed seed equals
-    /// the admission seed under fingerprint seeding (the default); with
-    /// fingerprint seeding off, admission seeds depend on the job's
-    /// submission index — unknowable before routing — so the probe uses
-    /// the raw run seed as an approximation (fine for *scoring*; the
-    /// actual admission recomputes).
+    /// The probe takes the admission path ([`RuntimeConfig::place`]):
+    /// it goes through the persistent [`PlacementCache`] when enabled,
+    /// so repeated probes of hot shapes are cheap and warm the cache
+    /// for the eventual admission; probe lookups count in
+    /// [`Service::cache_stats`] like any other.
     pub(crate) fn probe_place(&mut self, job: &WorkloadJob) -> Result<Placement, PlacementError> {
-        let fingerprint = job.circuit.fingerprint();
-        let seed = if self.cfg.fingerprint_seeding {
-            self.cfg.seed ^ fingerprint.as_u64()
-        } else {
-            self.cfg.seed
-        };
         let idle;
         let status = match &self.live {
             Some(engine) => engine.status(),
@@ -353,20 +370,12 @@ impl<'a> Service<'a> {
                 &idle
             }
         };
-        match self.cache.as_mut() {
-            Some(cache) => cache.place_fingerprinted(
-                fingerprint,
-                self.cfg.placement,
-                &job.circuit,
-                self.cfg.cloud,
-                status,
-                seed,
-            ),
-            None => self
-                .cfg
-                .placement
-                .place(&job.circuit, self.cfg.cloud, status, seed),
-        }
+        self.cfg.place(
+            self.cache.as_mut(),
+            &job.circuit,
+            job.circuit.fingerprint(),
+            status,
+        )
     }
 
     /// Drains the service for a backend failure: every unfinished job —
@@ -559,9 +568,8 @@ impl<'a> Service<'a> {
         let jobs = std::mem::take(&mut self.pending);
         let first = self.injected;
         self.injected += jobs.len();
-        let cache_active = self.cache.is_some();
         let engine = self.live.as_mut().expect("engine installed above");
-        engine.inject(jobs, first, cache_active);
+        engine.inject(jobs, first);
         engine.advance(&mut self.online, &mut self.cache, deadline)?;
         let (outcomes, rejected) = engine.take_window();
         self.completed += outcomes.len() as u64;
@@ -592,7 +600,7 @@ impl<'a> Service<'a> {
     fn run_epoch(&mut self, jobs: &[WorkloadJob]) -> Result<RunReport, PlacementError> {
         let n = jobs.len();
         let mut engine = Engine::new(self.cfg, false, self.clock);
-        engine.inject(jobs.to_vec(), 0, self.cache.is_some());
+        engine.inject(jobs.to_vec(), 0);
         engine.advance(&mut self.online, &mut self.cache, None)?;
         let (mut outcomes, rejected) = engine.take_window();
         outcomes.sort_by_key(|o| o.job);
@@ -769,7 +777,6 @@ mod tests {
         let builder = || {
             ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, 9)
                 .admission(AdmissionPolicy::ShortestJobFirst)
-                .cache_quantum(2)
         };
         let direct = builder().build_orchestrator().run(&w).unwrap();
         let mut svc = builder().build();

@@ -65,8 +65,16 @@ fn every_job_completes_exactly_once_under_contention() {
         seen[o.job] = true;
         assert!(o.finished_at >= o.admitted_at);
         assert!(o.finished_at <= run.makespan);
+        assert!(o.completion_time.as_ticks() > 0);
     }
     assert!(seen.iter().all(|&s| s));
+    // Outcomes are reported in job order, and the makespan is the
+    // last finish.
+    assert!(run.outcomes.iter().enumerate().all(|(i, o)| o.job == i));
+    assert_eq!(
+        run.makespan,
+        run.outcomes.iter().map(|o| o.finished_at).max().unwrap()
+    );
 }
 
 #[test]

@@ -1,20 +1,11 @@
 //! Golden seed-equivalence for the unified runtime.
 //!
-//! Two generations of pinned schedules:
-//!
-//! * The *current* goldens (batch / FIFO / incoming tests below) were
-//!   re-pinned when fingerprint-derived placement seeding became the
-//!   orchestrator default: each job's placement seed is now a function
-//!   of its circuit's structural fingerprint instead of its workload
-//!   index, so repeated shapes share placement-cache entries. Any
-//!   drift in these means the orchestrator, placement pipeline, or
-//!   executor changed observable behaviour.
-//! * The *legacy* golden (`legacy_index_seeding_opt_out_...`) pins the
-//!   pre-default per-job completion times — originally captured from
-//!   the seed implementation at commit `37af50c` — under
-//!   `fingerprint_seeding(false)`. It proves the seeding default is the
-//!   only thing that moved: the legacy derivation still reproduces the
-//!   pre-refactor execution stack's outcomes exactly.
+//! The pinned schedules (batch / FIFO / incoming tests below) use the
+//! runtime's placement seeding: each job's placement seed is the run
+//! seed XORed with its circuit's structural fingerprint, so repeated
+//! shapes share placement-cache entries. Any drift in these means the
+//! orchestrator, placement pipeline, or executor changed observable
+//! behaviour.
 //!
 //! The A/B tests below additionally pin that the placement cache and
 //! the per-QPU-pair sharded front layer are *pure* optimizations:
@@ -28,7 +19,6 @@ mod common;
 use cloudqc::circuit::generators::catalog;
 use cloudqc::circuit::Circuit;
 use cloudqc::cloud::CloudBuilder;
-use cloudqc::core::config::BatchWeights;
 use cloudqc::core::placement::PlacementAlgorithm;
 use cloudqc::core::placement::{CloudQcBfsPlacement, CloudQcPlacement, RandomPlacement};
 use cloudqc::core::runtime::{AdmissionPolicy, Orchestrator, RunReport, ServiceBuilder};
@@ -89,43 +79,11 @@ fn batch_mode_reproduces_pinned_outcomes() {
 }
 
 #[test]
-fn legacy_index_seeding_opt_out_reproduces_seed_outcomes() {
-    // The pre-default seed derivation (placement seed from the
-    // workload index) must still reproduce the original goldens —
-    // captured from the seed implementation at commit `37af50c` —
-    // exactly. This pins that flipping the fingerprint-seeding default
-    // moved nothing else.
-    let cloud = CloudBuilder::paper_default(1).build();
-    let jobs = big_batch();
-    let expected: [(u64, [u64; 8]); 3] = [
-        (3, [2250, 33332, 26120, 10503, 7398, 6254, 35907, 45962]),
-        (7, [2217, 22290, 23760, 11285, 8385, 7041, 22439, 42431]),
-        (42, [2418, 20946, 36602, 11067, 7957, 6513, 26829, 48698]),
-    ];
-    for (seed, times) in expected {
-        let placement = CloudQcPlacement::default();
-        let run = ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
-            .admission(AdmissionPolicy::PriorityBackfill(BatchWeights::default()))
-            .fingerprint_seeding(false)
-            .build_orchestrator()
-            .run(&Workload::batch(jobs.clone()))
-            .unwrap();
-        let got: Vec<u64> = run
-            .outcomes
-            .iter()
-            .map(|o| o.completion_time.as_ticks())
-            .collect();
-        assert_eq!(got, times, "legacy seeding, seed {seed}");
-    }
-}
-
-#[test]
 fn fifo_contended_batch_reproduces_pinned_outcomes() {
     // A cloud that serializes these 30-qubit jobs: queueing delay is
     // part of the golden times. The three jobs share one fingerprint,
-    // so under fingerprint seeding they are placed identically whenever
-    // the free vector recurs (seed 5's times happen to coincide with
-    // the legacy pin; seed 11's differ).
+    // hence one placement seed, so they are placed identically
+    // whenever the free vector recurs.
     let cloud = CloudBuilder::new(4)
         .computing_qubits(10)
         .ring_topology()
@@ -226,41 +184,31 @@ fn contended_setup() -> (cloudqc::cloud::Cloud, Workload) {
 
 #[test]
 fn cached_and_uncached_placement_are_byte_identical() {
-    // The placement cache (default signature: exact free vector + per
-    // job seed) memoizes a deterministic function, so enabling it must
-    // not move a single tick — under the fingerprint-seeding default
-    // and under the legacy per-index opt-out alike.
+    // The placement cache (signature: exact free vector + per job
+    // seed) memoizes a deterministic function, so enabling it must
+    // not move a single tick.
     let (cloud, workload) = contended_setup();
     let placement = CloudQcPlacement::default();
     for seed in [3u64, 7, 42] {
-        for fingerprint_seeding in [false, true] {
-            let run = |cached: bool| {
-                ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
-                    .admission(AdmissionPolicy::Backfill)
-                    .fingerprint_seeding(fingerprint_seeding)
-                    .placement_cache(cached)
-                    .build_orchestrator()
-                    .run(&workload)
-                    .expect("contended run completes")
-            };
-            let cached = run(true);
-            let uncached = run(false);
-            assert_eq!(
-                observable(&cached),
-                observable(&uncached),
-                "seed {seed}, fingerprint_seeding {fingerprint_seeding}"
-            );
-            assert_eq!(cached.outcomes.len(), workload.len());
-            let stats = cached.placement_cache;
-            assert!(stats.misses > 0, "cache was never consulted");
-            assert_eq!(uncached.placement_cache.hits, 0);
-            assert_eq!(uncached.placement_cache.misses, 0);
-            if fingerprint_seeding {
-                // Repeated shapes over a recurring free vector must
-                // actually hit, or the A/B proves nothing.
-                assert!(stats.hits > 0, "no cache hits under fingerprint seeding");
-            }
-        }
+        let run = |cached: bool| {
+            ServiceBuilder::new(&cloud, &placement, &CloudQcScheduler, seed)
+                .admission(AdmissionPolicy::Backfill)
+                .placement_cache(cached)
+                .build_orchestrator()
+                .run(&workload)
+                .expect("contended run completes")
+        };
+        let cached = run(true);
+        let uncached = run(false);
+        assert_eq!(observable(&cached), observable(&uncached), "seed {seed}");
+        assert_eq!(cached.outcomes.len(), workload.len());
+        let stats = cached.placement_cache;
+        assert!(stats.misses > 0, "cache was never consulted");
+        assert_eq!(uncached.placement_cache.hits, 0);
+        assert_eq!(uncached.placement_cache.misses, 0);
+        // Repeated shapes over a recurring free vector must actually
+        // hit, or the A/B proves nothing.
+        assert!(stats.hits > 0, "no cache hits");
     }
 }
 
